@@ -340,6 +340,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import logging
+    import signal
+    import threading
 
     from repro.obs.logs import LogRingBuffer, configure_logging, get_logger
     from repro.service.api import ServiceAPI
@@ -377,6 +379,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             },
         )
     api = ServiceAPI(service, host=args.host, port=args.port).start()
+
+    def stop_on_interrupt():
+        logger.info("interrupted; saving state")
+        api.request_stop()
+
+    def interrupt(signum, frame):
+        # The first Ctrl-C stops the loop after its current tick; a second
+        # one raises KeyboardInterrupt.  The stop runs on a helper thread
+        # because the interrupted main thread may hold the events' locks.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        threading.Thread(target=stop_on_interrupt, daemon=True).start()
+
+    previous = signal.signal(signal.SIGINT, interrupt)
     # The address line stays on raw stderr: scripts (and the CI smoke
     # job) scrape it to learn the ephemeral port.
     print(
@@ -394,12 +409,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         },
     )
     try:
-        while not api.stopping.is_set():
-            service.tick()
-            api.stopping.wait(args.poll_interval)
+        service.serve(api.stopping, args.poll_interval)
     except KeyboardInterrupt:
-        logger.info("interrupted; saving state")
+        logger.info("interrupted again; saving state")
     finally:
+        signal.signal(signal.SIGINT, previous)
         api.stop()
         abandoned = service.shutdown()
         if abandoned:
@@ -655,7 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--poll-interval", type=float, default=0.5, metavar="SECONDS",
-        help="seconds between daemon scheduling ticks",
+        help="seconds between drop-directory polls, and the longest the "
+        "daemon goes without re-checking retry backoffs, job deadlines "
+        "and checkpoints (jobs dispatch on submit and are harvested on "
+        "completion, without waiting for it)",
     )
     serve_parser.add_argument(
         "--checkpoint-every", type=float, default=30.0, metavar="SECONDS",

@@ -74,8 +74,9 @@ class ServiceAPI:
 
     ``port=0`` binds an ephemeral port (tests, CI); read :attr:`port`
     after construction.  :meth:`start` serves from a daemon thread;
-    :meth:`stop` shuts the listener down.  The ``stopping`` event is
-    set by ``POST /shutdown`` for the daemon loop to observe.
+    :meth:`stop` shuts the listener down.  :meth:`request_stop` (what
+    ``POST /shutdown`` calls) sets the ``stopping`` event and wakes the
+    daemon loop, so :meth:`MatchingService.serve` returns at once.
     """
 
     def __init__(
@@ -110,6 +111,10 @@ class ServiceAPI:
         self._thread.start()
         return self
 
+    def request_stop(self) -> None:
+        self.stopping.set()
+        self.service.wakeup.set()
+
     def stop(self) -> None:
         self._server.shutdown()
         self._server.server_close()
@@ -122,6 +127,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     api: ServiceAPI  # injected by ServiceAPI per server
     protocol_version = "HTTP/1.1"
+    # _respond writes headers and body separately; with Nagle on, the
+    # body waits for the client's delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
 
     # Silence the default stderr access log; the probe counts requests.
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature
@@ -290,7 +298,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             )
         if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "rematch":
             service.jobs.get(parts[1])  # 404 before queueing
-            return self._json(202, service.jobs.rematch(parts[1]).to_payload())
+            job = service.jobs.rematch(parts[1])
+            service.wakeup.set()
+            return self._json(202, job.to_payload())
         if parts == ["sessions"]:
             options = self._body_json()
             name = options.pop("name")
@@ -318,7 +328,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return self._json(200, service.tick())
         if parts == ["shutdown"]:
             service.save_state()
-            self.api.stopping.set()
+            self.api.request_stop()
             return self._json(200, {"status": "stopping"})
         return False
 

@@ -10,12 +10,17 @@
       quarantine.jsonl  spill-to-disk dead letters (rows, traces, files)
       manifest.json     registry + job queue + service metadata
 
-and exposes exactly three verbs the rest of the package builds on:
+and exposes the verbs the rest of the package builds on:
 
 * :meth:`tick` — one scheduling round: poll the drop directory,
   dispatch queued jobs to the worker pool, harvest finished ones.
-  Everything the daemon does between HTTP requests is some number of
-  ticks; tests and the CI smoke drive ticks directly for determinism.
+  Tests drive ticks directly for determinism; ticks are serialized, so
+  ``POST /tick`` may race the loop safely.
+* :meth:`serve` — the daemon loop, event-driven: it ticks whenever
+  :attr:`~MatchingService.wakeup` is set (a job was submitted, a worker
+  future resolved, a stop was requested) and otherwise once per poll
+  interval, which paces only the time-driven work: drop-directory
+  polls, retry backoff stamps, job deadlines and periodic checkpoints.
 * :meth:`save_state` — manifest + session checkpoints, atomically.
 * :meth:`resume` — rebuild the whole service from a state directory:
   spooled logs re-register, DONE/FAILED jobs return as history, killed
@@ -163,7 +168,11 @@ class MatchingService:
             probe=probe,
         )
         self.jobs = JobQueue(probe=probe, bound=queue_bound)
+        #: Wakes :meth:`serve` early: set on submission, when a worker
+        #: future resolves, and when a stop is requested.
+        self.wakeup = threading.Event()
         self.pool = WorkerPool(processes=processes, probe=probe)
+        self.pool.wakeup = self.wakeup
         self._respawns_seen = self.pool.respawns
         self._respawned_this_round = False
         self.sessions = SessionManager(
@@ -175,50 +184,83 @@ class MatchingService:
         self.checkpoint_every = checkpoint_every
         self._last_save = time.monotonic()
         self._manifest_lock = threading.Lock()
+        # The loop and POST /tick both tick; harvesting is not reentrant.
+        self._tick_lock = threading.Lock()
         self.started_at = time.time()
         self.ticks = 0
 
     # ------------------------------------------------------------------
     # The scheduling loop
     # ------------------------------------------------------------------
-    def tick(self) -> dict:
-        """One scheduling round; returns what it did (for tests/logs)."""
-        self.ticks += 1
-        if not self._spools_reaped_once:
-            # Deferred past construction so a resume() can claim its
-            # jobs' spools first; anything left belongs to no job this
-            # daemon will ever harvest.
-            self._spools_reaped_once = True
-            reaped = self.telemetry.reap(
-                known_job_ids=[job.job_id for job in self.jobs.jobs()],
-                reaper=reap_stale_files,
-            )
-            if reaped:
-                logger.info(
-                    "reaped orphaned telemetry spools", extra={"count": reaped}
+    def tick(self, poll_drop: bool = True) -> dict:
+        """One scheduling round; returns what it did (for tests/logs).
+
+        ``poll_drop=False`` skips the drop-directory poll, so wakeups
+        between two paced polls cannot shorten the watcher's settle
+        window (which counts polls, not seconds).
+        """
+        with self._tick_lock:
+            self.ticks += 1
+            if not self._spools_reaped_once:
+                # Deferred past construction so a resume() can claim its
+                # jobs' spools first; anything left belongs to no job this
+                # daemon will ever harvest.
+                self._spools_reaped_once = True
+                reaped = self.telemetry.reap(
+                    known_job_ids=[job.job_id for job in self.jobs.jobs()],
+                    reaper=reap_stale_files,
                 )
-        registered = self.watcher.poll()
-        dispatched = self._dispatch()
-        finished = self._harvest()
-        self._update_readiness()
-        if (
-            self.checkpoint_every is not None
-            and time.monotonic() - self._last_save >= self.checkpoint_every
-        ):
-            self.save_state()
-        return {
-            "registered": registered,
-            "dispatched": dispatched,
-            "finished": finished,
-        }
+                if reaped:
+                    logger.info(
+                        "reaped orphaned telemetry spools",
+                        extra={"count": reaped},
+                    )
+            registered = self.watcher.poll() if poll_drop else []
+            dispatched = self._dispatch()
+            finished = self._harvest()
+            self._update_readiness()
+            if (
+                self.checkpoint_every is not None
+                and time.monotonic() - self._last_save >= self.checkpoint_every
+            ):
+                self.save_state()
+            return {
+                "registered": registered,
+                "dispatched": dispatched,
+                "finished": finished,
+            }
+
+    def serve(self, stopping: threading.Event, poll_interval: float) -> None:
+        """Run the daemon loop until ``stopping`` is set.
+
+        Each round clears :attr:`wakeup` *before* it checks ``stopping``
+        and ticks, so a wake that lands mid-tick is never lost, then
+        sleeps until the next wake or the next drop-directory poll falls
+        due.  Polls stay exactly ``poll_interval`` apart however often
+        jobs wake the loop, and no round waits longer than
+        ``poll_interval``, so backoff stamps, deadlines and checkpoints
+        are checked at least that often.  Whoever sets ``stopping`` must
+        set :attr:`wakeup` after it (see :meth:`ServiceAPI.request_stop`).
+        """
+        next_poll = time.monotonic()
+        while True:
+            self.wakeup.clear()
+            if stopping.is_set():
+                return
+            now = time.monotonic()
+            poll_drop = now >= next_poll
+            if poll_drop:
+                next_poll = now + poll_interval
+            self.tick(poll_drop=poll_drop)
+            self.wakeup.wait(max(0.0, next_poll - time.monotonic()))
 
     def run_until_idle(self, max_ticks: int = 10_000) -> int:
         """Tick until no queued/running jobs remain; returns tick count.
 
         A tick that makes no progress (waiting on worker futures, or on
-        a retry's backoff stamp to pass) sleeps briefly instead of
-        spinning — in either pool mode, since backoff-pending jobs make
-        even inline ticks momentarily idle.
+        a retry's backoff stamp to pass) waits on :attr:`wakeup`, so a
+        resolving future resumes ticking at once; the short timeout
+        covers backoff stamps and deadlines, which nothing signals.
         """
         spent = 0
         while self.jobs.depth > 0 or self.pool.active > 0:
@@ -227,9 +269,10 @@ class MatchingService:
                 raise RuntimeError(
                     f"service did not go idle within {max_ticks} ticks"
                 )
+            self.wakeup.clear()
             outcome = self.tick()
             if not (outcome["dispatched"] or outcome["finished"]):
-                time.sleep(0.02 if self.pool.processes else 0.005)
+                self.wakeup.wait(0.02 if self.pool.processes else 0.005)
         return spent
 
     def _dispatch(self) -> list[str]:
@@ -394,13 +437,15 @@ class MatchingService:
         for name in (log_1, log_2):
             self.registry.info(name)  # raises UnknownLogError
         try:
-            return self.jobs.submit(log_1, log_2, **options)
+            job = self.jobs.submit(log_1, log_2, **options)
         except QueueFullError:
             self.recovery.backpressure_rejections += 1
             self.readiness.mark("queue-saturated")
             if self.probe.enabled:
                 self.probe.on_backpressure()
             raise
+        self.wakeup.set()
+        return job
 
     # ------------------------------------------------------------------
     # Persistence

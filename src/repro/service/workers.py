@@ -33,9 +33,10 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -50,11 +51,6 @@ from repro.resilience.supervise import (
     OUTCOME_ERROR,
     OUTCOME_OK,
 )
-
-#: Longest a blocking harvest waits before giving control back to the
-#: daemon loop — a dead worker must never strand the scheduler on a
-#: future that will only resolve when the pool is rebuilt.
-HARVEST_TIMEOUT = 1.0
 
 #: Longest ``shutdown`` waits for in-flight jobs before abandoning them.
 SHUTDOWN_TIMEOUT = 30.0
@@ -195,12 +191,12 @@ class WorkerPool:
 
     The daemon loop drives it with two calls: :meth:`submit` hands over
     a claimed job's recipe, :meth:`completed` harvests finished ones as
-    :class:`JobOutcome` records without blocking indefinitely — even a
-    blocking harvest is bounded by :data:`HARVEST_TIMEOUT`, because a
-    SIGKILLed worker must surface as a ``crash`` outcome, not a hung
-    scheduler.  Inline mode executes during :meth:`submit` and queues
-    the outcome for the next harvest, so the loop's control flow is
-    identical in both modes.
+    :class:`JobOutcome` records and never blocks.  Every worker future
+    sets :attr:`wakeup` when it resolves — with a result, an error, or a
+    ``BrokenProcessPool`` after a worker death — so the loop sleeps on
+    that event instead of polling the futures.  Inline mode executes
+    during :meth:`submit` and queues the outcome for the next harvest,
+    so the loop's control flow is identical in both modes.
     """
 
     def __init__(self, processes: int = 0, probe: Probe | None = None):
@@ -217,6 +213,9 @@ class WorkerPool:
             self._pool = None
         self._futures: dict = {}  # future -> _InFlight
         self._done: list[JobOutcome] = []
+        #: Set from the executor's thread whenever a worker future
+        #: resolves; a daemon replaces it with the event its loop waits on.
+        self.wakeup = threading.Event()
         #: Executor rebuilds this pool performed (mirrored by the daemon
         #: into RecoveryStats.workers_respawned).
         self.respawns = 0
@@ -293,20 +292,21 @@ class WorkerPool:
                 )
                 return
         self._futures[future] = _InFlight(job_id, payload, started)
+        future.add_done_callback(self._wake)
+
+    def _wake(self, _future) -> None:
+        self.wakeup.set()
 
     # ------------------------------------------------------------------
     # Harvest
     # ------------------------------------------------------------------
-    def completed(self, block: bool = False) -> list[JobOutcome]:
-        """Harvest finished attempts; ``block`` waits (boundedly) for one."""
+    def completed(self) -> list[JobOutcome]:
+        """Harvest every finished attempt without waiting for running ones."""
         harvested = list(self._done)
         self._done.clear()
         harvested.extend(self._check_deadlines())
         if self._futures:
-            timeout = HARVEST_TIMEOUT if (block and not harvested) else 0
-            finished, _ = wait(
-                self._futures, timeout=timeout, return_when=FIRST_COMPLETED
-            )
+            finished = [future for future in self._futures if future.done()]
             pool_broke = False
             for future in finished:
                 outcome = self._harvest_one(future, self._futures.pop(future))

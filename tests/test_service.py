@@ -11,12 +11,25 @@ Covers the acceptance contracts of the service layer:
   state directory converges to exactly the state of an uninterrupted
   run, even under seeded chaos;
 * checkpoint sequence numbers are monotone, and checkpoints/manifests
-  from a newer format version are refused with a clear error.
+  from a newer format version are refused with a clear error;
+* the daemon loop is event-driven: a submitted job runs, and a stop
+  request lands, without waiting out the poll interval; ticks racing
+  from two threads harvest every job exactly once.
 """
 
+import http.client
 import json
+import os
+import signal
+import statistics
+import subprocess
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +50,7 @@ from repro.service import (
     UnknownJobError,
     UnknownLogError,
 )
+from repro.parallel import close_warm_pool
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobQueue
 from repro.service.workers import WorkerPool
 
@@ -325,6 +339,180 @@ class TestHTTPAPI:
         assert status == 200
         assert api.stopping.is_set()
         assert service.manifest_path.exists()
+
+
+class TestEventDrivenLoop:
+    """The serve loop wakes on submission, completion and stop requests."""
+
+    POLL_INTERVAL = 30.0  # far beyond every bound asserted below
+
+    @pytest.fixture(params=[0, 2], ids=["inline", "pool"])
+    def looping(self, request, tmp_path):
+        service = make_service(tmp_path, processes=request.param)
+        service.registry.register("left", LEFT)
+        service.registry.register("right", RIGHT)
+        api = ServiceAPI(service).start()
+        loop = threading.Thread(
+            target=service.serve, args=(api.stopping, self.POLL_INTERVAL)
+        )
+        loop.start()
+        try:
+            yield service, api, loop
+        finally:
+            api.request_stop()
+            loop.join(timeout=10)
+            api.stop()
+            service.shutdown()
+            if request.param:
+                close_warm_pool()
+
+    def _call(self, api, method, path, payload=None):
+        connection = http.client.HTTPConnection("127.0.0.1", api.port)
+        try:
+            body = json.dumps(payload) if payload is not None else None
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_submitted_job_runs_without_waiting_for_a_tick(self, looping):
+        service, api, _loop = looping
+        started = time.monotonic()
+        status, job = self._call(
+            api,
+            "POST",
+            "/jobs",
+            {"log_1": "left", "log_2": "right", "patterns": list(PATTERNS)},
+        )
+        assert status == 202
+        while True:
+            status, body = self._call(api, "GET", f"/jobs/{job['job_id']}")
+            if body["state"] in ("done", "failed") or (
+                time.monotonic() - started > 2.0
+            ):
+                break
+            time.sleep(0.01)
+        assert body["state"] == "done", body
+        assert time.monotonic() - started < 2.0
+        assert body["result"]["mapping"] == {
+            str(s): str(t) for s, t in direct_result().mapping.as_dict().items()
+        }
+
+    def test_shutdown_ends_the_loop_at_once(self, looping):
+        _service, api, loop = looping
+        status, _ = self._call(api, "POST", "/shutdown")
+        assert status == 200
+        loop.join(timeout=2.0)
+        assert not loop.is_alive()
+
+    def test_keep_alive_requests_do_not_stall(self, looping):
+        _service, api, _loop = looping
+        connection = http.client.HTTPConnection("127.0.0.1", api.port)
+        timings = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                timings.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        # Nagle + delayed ACK held each response body for ~40 ms.
+        assert statistics.median(timings) < 0.010, timings
+
+
+class TestConcurrentTicks:
+    ROUNDS = 10
+    JOBS_PER_ROUND = 16
+
+    def test_racing_ticks_harvest_each_job_once(self, tmp_path):
+        """POST /tick races the serve loop; neither may corrupt a harvest."""
+        service = make_service(tmp_path, processes=2)
+        service.registry.register("left", LEFT)
+        service.registry.register("right", RIGHT)
+        finishes = Counter()
+        finish = service.jobs.finish
+
+        def counting_finish(job_id, result, elapsed_seconds):
+            finishes[job_id] += 1
+            finish(job_id, result, elapsed_seconds)
+
+        service.jobs.finish = counting_finish
+        errors = []
+
+        def busy():
+            return service.jobs.depth or service.pool.active
+
+        def ticker():
+            deadline = time.monotonic() + 60.0
+            try:
+                while busy() and not errors:
+                    assert time.monotonic() < deadline, "never went idle"
+                    service.tick()
+            except BaseException as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        jobs = []
+        # Switch threads as often as possible so the two tickers really
+        # interleave inside a harvest.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(self.ROUNDS):
+                jobs += [
+                    service.submit_job("left", "right", patterns=PATTERNS)
+                    for _ in range(self.JOBS_PER_ROUND)
+                ]
+                threads = [threading.Thread(target=ticker) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=90)
+                if errors:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+            service.shutdown()
+            close_warm_pool()
+        assert errors == []
+        assert all(service.jobs.get(job.job_id).state == DONE for job in jobs)
+        assert finishes == Counter({job.job_id: 1 for job in jobs})
+
+
+class TestServeCommand:
+    def test_sigint_stops_a_long_interval_daemon_promptly(self, tmp_path):
+        state = tmp_path / "state"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(state),
+             "--port", "0", "--poll-interval", "30"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            for line in daemon.stderr:
+                if "# serving on http://" in line:
+                    break
+            else:
+                pytest.fail("daemon exited before serving")
+            time.sleep(0.2)  # let the loop enter its 30 s wait
+            started = time.monotonic()
+            daemon.send_signal(signal.SIGINT)
+            assert daemon.wait(timeout=10) == 0
+            assert time.monotonic() - started < 5.0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            daemon.stderr.close()
+        assert (state / "manifest.json").exists()
 
 
 class TestSaveAndResume:
