@@ -180,7 +180,6 @@ def _parallel_escalation(
     node_budget: int | None,
     time_budget: float | None,
     workers: int,
-    transport: str,
     probe: Probe,
 ) -> list[_TierResult] | None:
     """Fan escalated blocks out over the warm pool; ``None`` → run serial.
@@ -192,23 +191,14 @@ def _parallel_escalation(
     submission order, so the composition is scheduling-independent.
     """
     from repro.parallel.pool import get_warm_pool
-    from repro.parallel.search import _build_handle
 
     effective = max(1, min(workers, len(escalated)))
     if effective <= 1:
         return None
     pool = get_warm_pool(effective)
-    try:
-        handle = _build_handle(
-            pool,
-            full_model.log_1,
-            full_model.log_2,
-            tuple(full_model.patterns),
-            bound,
-            transport,
-        )
-    except Exception:
-        return None
+    handle = pool.handle_for(
+        full_model.log_1, full_model.log_2, full_model.patterns, bound
+    )
     config_payload = config.to_dict()
     with probe.span(
         "blocking.parallel", workers=effective, blocks=len(escalated)
@@ -248,7 +238,6 @@ def tiered_match(
     include_edges: bool = True,
     probe: Probe | None = None,
     workers: int = 1,
-    transport: str = "auto",
 ) -> MatchOutcome:
     """Blocked exact matching (see module docstring).
 
@@ -313,7 +302,7 @@ def tiered_match(
     if workers > 1 and len(escalated) > 1:
         results = _parallel_escalation(
             full_model, escalated, config, bound, node_budget,
-            time_budget, workers, transport, probe,
+            time_budget, workers, probe,
         )
         if results is not None and strict:
             for result in results:

@@ -182,8 +182,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
         degraded_fallback=args.degraded_fallback,
         probe=probe,
         workers=args.workers,
-        transport=args.transport,
-        chunk_size=args.chunk_size,
         blocking=_blocking_from_args(args),
     )
     degraded_text = (
@@ -503,16 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, metavar="N",
         help="root-split the exact pattern-* search over N worker "
         "processes (1 = serial; budgets apply per chunk)",
-    )
-    match_parser.add_argument(
-        "--transport", choices=("auto", "shm", "pickle"), default="auto",
-        help="how logs reach parallel workers: shared memory, pickling, "
-        "or auto (shm with pickle fallback); ignored when --workers 1",
-    )
-    match_parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="K",
-        help="root targets per work-stealing chunk (default: split into "
-        "4 chunks per worker); ignored when --workers 1",
     )
     match_parser.add_argument(
         "--blocking", action="store_true",

@@ -144,8 +144,6 @@ class EventMatcher:
         degraded_fallback: float | None = None,
         probe: Probe | None = None,
         workers: int = 1,
-        transport: str = "auto",
-        chunk_size: int | None = None,
         blocking=None,
     ) -> MatchResult:
         """Run ``method`` and return its annotated result.
@@ -172,10 +170,6 @@ class EventMatcher:
         keeps the serial path byte-identical; other methods, and runs
         with a ``warm_start`` (whose incumbent seeding needs the parent's
         score model), ignore the setting and run serially.
-        ``transport`` picks how logs reach the workers (``"shm"`` shared
-        memory, ``"pickle"``, or ``"auto"`` = shm with pickle fallback);
-        ``chunk_size`` overrides the work-stealing chunk granularity.
-        Both are ignored on serial runs.
 
         ``node_budget``/``time_budget`` apply to the exact searches
         (``pattern-*`` and ``vertex-edge``).  Exceeding a budget returns
@@ -209,13 +203,13 @@ class EventMatcher:
             return self._run(
                 method, node_budget, time_budget, heuristic_bound,
                 warm_start, strict, degraded_fallback, probe, workers,
-                transport, chunk_size, blocking,
+                blocking,
             )
         with probe.span("match.run", method=method):
             result = self._run(
                 method, node_budget, time_budget, heuristic_bound,
                 warm_start, strict, degraded_fallback, probe, workers,
-                transport, chunk_size, blocking,
+                blocking,
             )
         probe.record_search_stats(result.stats)
         return result
@@ -231,8 +225,6 @@ class EventMatcher:
         degraded_fallback: float | None,
         probe: Probe,
         workers: int = 1,
-        transport: str = "auto",
-        chunk_size: int | None = None,
         blocking=None,
     ) -> MatchResult:
         started = time.perf_counter()
@@ -263,7 +255,6 @@ class EventMatcher:
                     include_edges=self.include_edges,
                     probe=probe,
                     workers=workers,
-                    transport=transport,
                 )
                 if (
                     outcome.degraded
@@ -292,8 +283,6 @@ class EventMatcher:
                     include_vertices=self.include_vertices,
                     include_edges=self.include_edges,
                     probe=probe,
-                    transport=transport,
-                    chunk_size=chunk_size,
                 )
                 if (
                     outcome.degraded
@@ -425,8 +414,6 @@ def match(
     degraded_fallback: float | None = None,
     probe: Probe | None = None,
     workers: int = 1,
-    transport: str = "auto",
-    chunk_size: int | None = None,
     blocking=None,
 ) -> MatchResult:
     """One-call event matching between two logs (see module docstring)."""
@@ -440,7 +427,5 @@ def match(
         degraded_fallback=degraded_fallback,
         probe=probe,
         workers=workers,
-        transport=transport,
-        chunk_size=chunk_size,
         blocking=blocking,
     )

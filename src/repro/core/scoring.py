@@ -101,10 +101,6 @@ class ScoreModel:
     use_kernel:
         Disable the compiled frequency kernel, falling back to the naive
         per-order candidate scan (ablation only).
-    trace_index_1, trace_index_2:
-        Optional pre-built ``I_t`` indices for the two logs (e.g.
-        reconstructed from a shared-memory arena); fresh ones are built
-        when omitted.
     probe:
         Observability hooks shared by every consumer of this model (the
         exact search, the heuristics, both frequency evaluators and
@@ -133,8 +129,6 @@ class ScoreModel:
         bound: BoundKind = BoundKind.TIGHT,
         use_index: bool = True,
         use_kernel: bool = True,
-        trace_index_1=None,
-        trace_index_2=None,
         probe: Probe | None = None,
         source_events: Sequence[Event] | None = None,
         target_events: Sequence[Event] | None = None,
@@ -152,15 +146,13 @@ class ScoreModel:
         self.graph_2 = graph_2 if graph_2 is not None else dependency_graph(log_2)
         self.evaluator_1 = evaluator_1 if evaluator_1 is not None else (
             PatternFrequencyEvaluator(
-                log_1, trace_index=trace_index_1,
-                use_index=use_index, use_kernel=use_kernel,
+                log_1, use_index=use_index, use_kernel=use_kernel,
                 probe=self.probe,
             )
         )
         self.evaluator_2 = evaluator_2 if evaluator_2 is not None else (
             PatternFrequencyEvaluator(
-                log_2, trace_index=trace_index_2,
-                use_index=use_index, use_kernel=use_kernel,
+                log_2, use_index=use_index, use_kernel=use_kernel,
                 probe=self.probe,
             )
         )

@@ -187,7 +187,6 @@ def format_recovery_stats(recovery, quarantine=None, label: str = "") -> str:
         recovery.jobs_poisoned,
         recovery.jobs_deadline_exceeded,
         recovery.backpressure_rejections,
-        recovery.shm_segments_reaped,
     )
     if any(supervision):
         lines.append(
@@ -196,8 +195,7 @@ def format_recovery_stats(recovery, quarantine=None, label: str = "") -> str:
             f"respawns {recovery.workers_respawned}, "
             f"poisoned {recovery.jobs_poisoned}, "
             f"deadlines {recovery.jobs_deadline_exceeded}, "
-            f"backpressure {recovery.backpressure_rejections}, "
-            f"shm reaped {recovery.shm_segments_reaped}"
+            f"backpressure {recovery.backpressure_rejections}"
         )
     if quarantine is not None and quarantine.total_seen:
         lines.append(prefix + quarantine.summary())

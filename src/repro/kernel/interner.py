@@ -46,36 +46,6 @@ class EventInterner:
         self._traces: list[tuple[int, ...]] = []
         self._bigrams: list[frozenset[int]] = []
 
-    @classmethod
-    def from_dense(
-        cls,
-        events: Sequence[Event],
-        traces: Sequence[Sequence[int]],
-    ) -> "EventInterner":
-        """Rebuild an interner from exported dense state.
-
-        ``events`` must be the id→name table in id order (so name ``i``
-        owns id ``i``) and ``traces`` the already-interned trace tuples —
-        exactly what :meth:`~repro.parallel.shm.ShmLogArena` serializes.
-        Bigram sets are recomputed from the id tuples (cheaper to pack
-        than to ship).  The result is indistinguishable from an interner
-        that absorbed the same traces event by event.
-        """
-        interner = cls()
-        interner._events = list(events)
-        interner._id_of = {event: i for i, event in enumerate(events)}
-        if len(interner._id_of) != len(interner._events):
-            raise ValueError("dense event table contains duplicates")
-        interner._traces = [tuple(trace) for trace in traces]
-        interner._bigrams = [
-            frozenset(
-                (trace[i] << BIGRAM_SHIFT) | trace[i + 1]
-                for i in range(len(trace) - 1)
-            )
-            for trace in interner._traces
-        ]
-        return interner
-
     # ------------------------------------------------------------------
     # Id assignment
     # ------------------------------------------------------------------

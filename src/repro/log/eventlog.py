@@ -157,23 +157,6 @@ class EventLog:
             self._interner = interner
         return self._interner
 
-    def attach_interner(self, interner) -> None:
-        """Adopt a pre-built interner covering exactly this log's traces.
-
-        Used by the shared-memory transport to rebuild a log without
-        re-interning: the arena ships the dense id table and interned
-        traces, and the rebuilt interner is attached here.  Subsequent
-        :meth:`append_trace` calls keep it synced as usual.
-        """
-        if self._interner is not None:
-            raise ValueError("log already has an interner")
-        if interner.num_traces != len(self._traces):
-            raise ValueError(
-                f"interner covers {interner.num_traces} traces but the "
-                f"log has {len(self._traces)}"
-            )
-        self._interner = interner
-
     # ------------------------------------------------------------------
     # Alphabet and frequencies
     # ------------------------------------------------------------------

@@ -50,35 +50,6 @@ class TraceIndex:
         self._generation = log.generation
         self.refresh()
 
-    @classmethod
-    def from_postings(
-        cls, log: EventLog, postings: dict[Event, int]
-    ) -> "TraceIndex":
-        """An index over ``log`` seeded with already-built posting bits.
-
-        The shared-memory transport (:mod:`repro.parallel.shm`) ships
-        posting bitsets alongside the traces so attaching workers skip
-        the per-trace set-bit rescan a fresh index would pay.  The
-        postings must describe exactly the committed traces of ``log``
-        (the arena serializes both from one synced index, so this holds
-        by construction); the index starts synced at the log's current
-        generation and refreshes incrementally from there like any other.
-        """
-        index = cls.__new__(cls)
-        index._log = log
-        index._postings = {
-            event: bits for event, bits in postings.items() if bits
-        }
-        index._empty = frozenset()
-        index._synced_traces = len(log.traces)
-        index._generation = log.generation
-        return index
-
-    def export_postings(self) -> dict[Event, int]:
-        """A snapshot of the posting bitsets (event → bits), for export."""
-        self._check_fresh()
-        return dict(self._postings)
-
     @property
     def log(self) -> EventLog:
         return self._log

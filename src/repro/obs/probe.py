@@ -125,9 +125,6 @@ class Probe:
     def on_pool_event(self, reused: bool, workers: int) -> None:
         pass
 
-    def on_shm_bytes(self, total_bytes: int) -> None:
-        pass
-
     # -- streaming ------------------------------------------------------
     def on_stream_commit(self, trace_id: int, num_events: int) -> None:
         pass
@@ -162,9 +159,6 @@ class Probe:
         pass
 
     def on_backpressure(self) -> None:
-        pass
-
-    def on_shm_reaped(self, count: int) -> None:
         pass
 
     # -- bulk stats ------------------------------------------------------
@@ -305,10 +299,6 @@ class ObservabilityProbe(Probe):
             "repro_parallel_pool_reuses_total",
             "Parallel runs served by an already-warm worker pool",
         )
-        self._shm_bytes = m.gauge(
-            "repro_parallel_shm_bytes",
-            "Bytes mapped by cached shared-memory log arenas",
-        )
         self._blocking_blocks = m.gauge(
             "repro_blocking_blocks",
             "Candidate blocks of the most recent blocking plan",
@@ -411,9 +401,6 @@ class ObservabilityProbe(Probe):
         self._pool_reuse.set(1.0 if reused else 0.0)
         (self._pool_reuses if reused else self._pool_spawns).inc()
 
-    def on_shm_bytes(self, total_bytes):
-        self._shm_bytes.set(total_bytes)
-
     def on_kernel_tier(self, tier):
         counter = self._tier_counters.get(tier)
         if counter is None:
@@ -495,12 +482,6 @@ class ObservabilityProbe(Probe):
             "repro_service_backpressure_total",
             "Job submissions refused because the queue was at its bound",
         ).inc()
-
-    def on_shm_reaped(self, count):
-        self._labeled(
-            "repro_service_shm_reaped_total",
-            "Orphaned shared-memory segments unlinked at startup",
-        ).inc(count)
 
     # -- streaming ------------------------------------------------------
     def on_stream_commit(self, trace_id, num_events):

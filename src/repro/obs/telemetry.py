@@ -28,9 +28,8 @@ probe records dies with the worker.  This module is the bridge:
   sibling rows in Perfetto.
 
 Spool files are crash-safe by construction (the parent reaps any spool
-whose job it does not recognize at startup, mirroring the shm-segment
-ledger) and bounded by construction (:data:`SPOOL_MAX_BYTES`; overflow
-is counted, not written).
+whose job it does not recognize at startup) and bounded by construction
+(:data:`SPOOL_MAX_BYTES`; overflow is counted, not written).
 """
 
 from __future__ import annotations
@@ -651,10 +650,10 @@ class TelemetryHub:
         belonging to a known job is kept — its attempts merge when the
         job next reaches a terminal state.  The daemon passes
         :func:`repro.resilience.supervise.reap_stale_files` as
-        ``reaper`` so telemetry byproducts ride the same crash-safe
-        reaping path as shm segments (``repro.obs`` itself stays
-        import-free of the upper layers); without one, a self-contained
-        sweep with the same semantics runs.
+        ``reaper`` so telemetry byproducts ride the resilience layer's
+        crash-safe reaping path (``repro.obs`` itself stays import-free
+        of the upper layers); without one, a self-contained sweep with
+        the same semantics runs.
         """
         if not self.enabled or not self.spool_dir.is_dir():
             return 0

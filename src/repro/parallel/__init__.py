@@ -30,14 +30,11 @@ from repro.parallel.search import (
     parallel_match,
     partition_root_targets,
 )
-from repro.parallel.shm import ShmArenaError, ShmLogArena
 from repro.parallel.sweep import TaskSpec, parallel_sweep
 
 __all__ = [
     "SharedIncumbent",
     "ShardOutcome",
-    "ShmArenaError",
-    "ShmLogArena",
     "TaskSpec",
     "WarmPool",
     "chunk_root_targets",

@@ -13,14 +13,14 @@ one-time:
   deterministic chunk list).  Both are created *with* the pool so they
   reach workers by inheritance, the only channel ``multiprocessing``
   synchronization primitives support.
-* The pool caches one :class:`~repro.parallel.shm.ShmLogArena` per
-  ``(log, generation)`` on the parent side, so repeated matches over
-  the same log reuse one shared-memory segment (and its name, which is
-  the workers' model-cache key).
+* The pool pickles each ``(log_1, log_2, patterns, bound)`` model
+  description once into a :class:`ModelHandle` payload, cached per live
+  log generation on the parent side, so repeated matches over the same
+  logs reuse one payload (and its key, the workers' model-cache key).
 * Workers keep a bounded LRU of materialized score models keyed by the
-  :class:`ModelHandle`'s cache key: the second call on the same logs
-  skips attach + rebuild + model build entirely — the per-process model
-  build happens once per process lifetime, not once per call.
+  handle's key: the second call on the same logs skips unpickling and
+  the model build entirely — the per-process model build happens once
+  per process lifetime, not once per call.
 * A lazily created, explicitly closeable module-level pool
   (:func:`get_warm_pool` / :func:`close_warm_pool`) survives across
   ``match()`` / ``parallel_sweep`` calls and backs the service's
@@ -36,8 +36,10 @@ jobs) don't touch the cells and need no lock.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import weakref
@@ -149,24 +151,18 @@ class LruCache:
 
 @dataclass(frozen=True)
 class ModelHandle:
-    """A picklable description of one score model for the workers.
+    """One score model for the workers: a cache key plus its payload.
 
-    ``transport`` selects how the logs travel: ``"shm"`` ships only the
-    two arena segment names (workers attach and rebuild); ``"pickle"``
-    carries the logs in the handle (the portable fallback — one log
-    pickle per task submission).  ``cache_key`` identifies the
-    materialized model in the worker-side LRU: arena names are stable
-    across calls thanks to the parent's arena cache, so warm workers
-    hit; pickle tokens are minted per ``(log id, generation)`` by the
-    parent for the same effect.
+    ``payload`` is ``pickle.dumps((log_1, log_2, patterns, bound))``,
+    built once by :meth:`WarmPool.handle_for`; shipping it to a task
+    costs a byte copy, and a worker unpickles it only when ``key``
+    misses its model cache.  Keys are unique per parent process and
+    never reused, so a key always names the same logs, patterns and
+    bound.
     """
 
-    transport: str
-    cache_key: tuple
-    patterns: tuple
-    bound: object
-    arenas: tuple[str, str] | None = None
-    logs: tuple[EventLog, EventLog] | None = field(default=None, compare=False)
+    key: str
+    payload: bytes = field(repr=False)
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +173,7 @@ class ModelHandle:
 #: inherited coordination cells.
 _WORKER_CELLS: dict = {}
 
-#: Materialized score models, keyed by ``ModelHandle.cache_key``.  Score
+#: Materialized score models, keyed by ``ModelHandle.key``.  Score
 #: models are heavy (interned logs, postings, automata, f1 tables); a
 #: small cap bounds warm-worker memory while still covering the
 #: steady-state "same logs every call" case.
@@ -202,46 +198,19 @@ def worker_cells() -> tuple[SharedIncumbent, ChunkCursor]:
 def materialize_model(handle: ModelHandle):
     """The worker-side score model for ``handle``: ``(model, cache_hit)``.
 
-    On a cache miss the model is built once — from attached shared
-    memory (``shm``) or the pickled logs (``pickle``) — and cached under
-    the handle's key for every later call that names the same logs,
-    patterns and bound.
+    On a cache miss the payload is unpickled and the model built once,
+    then cached under the handle's key for every later call that names
+    the same logs, patterns and bound; a hit never reads the payload.
     """
-    model = _MODEL_CACHE.get(handle.cache_key)
+    model = _MODEL_CACHE.get(handle.key)
     if model is not None:
         return model, True
     # Local import: repro.core.scoring sits above this substrate module.
     from repro.core.scoring import ScoreModel
 
-    if handle.transport == "shm":
-        from repro.parallel.shm import ShmLogArena
-
-        assert handle.arenas is not None
-        index_pair = []
-        logs = []
-        for name in handle.arenas:
-            arena = ShmLogArena.attach(name)
-            try:
-                log, index = arena.rebuild()
-            finally:
-                arena.close()
-            logs.append(log)
-            index_pair.append(index)
-        log_1, log_2 = logs
-        trace_index_1, trace_index_2 = index_pair
-    else:
-        assert handle.logs is not None
-        log_1, log_2 = handle.logs
-        trace_index_1 = trace_index_2 = None
-    model = ScoreModel(
-        log_1,
-        log_2,
-        list(handle.patterns),
-        bound=handle.bound,
-        trace_index_1=trace_index_1,
-        trace_index_2=trace_index_2,
-    )
-    _MODEL_CACHE.put(handle.cache_key, model)
+    log_1, log_2, patterns, bound = pickle.loads(handle.payload)
+    model = ScoreModel(log_1, log_2, list(patterns), bound=bound)
+    _MODEL_CACHE.put(handle.key, model)
     return model, False
 
 
@@ -254,9 +223,17 @@ def model_cache_stats() -> dict:
 # Parent-process side
 # ----------------------------------------------------------------------
 
-#: Parent-side arena cache bound: segments for this many distinct
-#: ``(log, generation)`` pairs stay mapped; older ones are unlinked.
-ARENA_CACHE_CAP = 8
+#: Parent-side handle cache bound: payloads for this many distinct
+#: ``(logs, generations, patterns, bound)`` entries stay built — as many
+#: as a worker keeps materialized models.
+HANDLE_CACHE_CAP = MODEL_CACHE_CAP
+
+#: Process-wide handle key serial (``next`` on it is atomic).  Shared by
+#: every pool in the process so no two handles ever get the same key:
+#: workers forked from this process inherit its model cache, and a
+#: per-pool serial could re-mint a key that cache already holds for
+#: other logs.
+_HANDLE_SERIAL = itertools.count(1)
 
 #: Parent-side warm-start seed cache bound (one small entry per model
 #: cache key: a score plus one complete mapping).
@@ -288,21 +265,12 @@ class WarmPool:
         self.cursor = ChunkCursor(context=ctx)
         #: Serializes runs that use the shared cells (reset-then-run).
         self.lock = threading.Lock()
-        self._arena_lock = threading.Lock()
-        self._arenas: LruCache = LruCache(ARENA_CACHE_CAP)
+        self._handle_lock = threading.Lock()
+        self._handles: LruCache = LruCache(HANDLE_CACHE_CAP)
         self._seed_lock = threading.Lock()
         self._seeds: LruCache = LruCache(SEED_CACHE_CAP)
-        self._pickle_tokens: dict[tuple, str] = {}
-        self._token_serial = 0
         #: Times the executor was rebuilt after a worker death/runaway.
         self.respawns = 0
-        # Crash-safe shm lifecycle: before mapping any new segments,
-        # unlink segments a *dead* process left behind (a SIGKILLed
-        # daemon cannot run its own atexit hooks; the next pool pays
-        # one cheap ledger scan instead).
-        from repro.resilience.supervise import reap_orphan_segments
-
-        self.reaped_at_start = reap_orphan_segments()
         self.executor = self._spawn_executor()
         self._closed = False
 
@@ -378,59 +346,48 @@ class WarmPool:
             self._seeds.put(key, seed)
         return seed
 
-    # -- shared-memory arenas -------------------------------------------
-    def arena_for(self, log: EventLog):
-        """The cached :class:`ShmLogArena` for ``log`` (created once).
+    # -- model handles ---------------------------------------------------
+    def handle_for(
+        self, log_1: EventLog, log_2: EventLog, patterns: tuple, bound
+    ) -> ModelHandle:
+        """The cached :class:`ModelHandle` for one model (pickled once).
 
-        Keyed by ``(id(log), generation)`` so appends invalidate; a
-        weakref finalizer unlinks the segment when the log is collected,
-        and the LRU cap unlinks the oldest segments under churn.
+        Keyed by both logs' ``(id, generation)`` plus ``patterns`` and
+        ``bound``, so an append yields a new handle.  Each entry holds
+        weak references to its logs and counts as a hit only while they
+        still name the same live objects: a collected log's recycled
+        ``id`` can never alias a stale payload.  Key minting and the
+        cache insert share one critical section, so concurrent callers
+        never mint the same key.
         """
-        from repro.parallel.shm import ShmLogArena
+        cache_key = (
+            id(log_1), log_1.generation, id(log_2), log_2.generation,
+            patterns, bound,
+        )
 
-        key = (id(log), log.generation)
-        with self._arena_lock:
-            arena = self._arenas.get(key)
-            if arena is not None:
-                return arena
-        built = ShmLogArena.create(log)
-        with self._arena_lock:
-            arena = self._arenas.get(key)
-            if arena is not None:  # lost a benign build race
-                built.unlink()
-                return arena
-            evicted = self._arenas.put(key, built)
-        for old in evicted:
-            old.unlink()
-        weakref.finalize(log, self._drop_arena, key)
-        return built
+        def cached():
+            entry = self._handles.get(cache_key)
+            if entry is not None:
+                ref_1, ref_2, handle = entry
+                if ref_1() is log_1 and ref_2() is log_2:
+                    return handle
+            return None
 
-    def _drop_arena(self, key) -> None:
-        with self._arena_lock:
-            arena = self._arenas.pop(key)
-        if arena is not None:
-            arena.unlink()
-
-    def shm_bytes(self) -> int:
-        """Total bytes currently mapped by cached arenas."""
-        with self._arena_lock:
-            return sum(a.size for a in self._arenas._entries.values())
-
-    def pickle_token(self, log: EventLog) -> str:
-        """A stable worker-cache token for ``log`` on the pickle path.
-
-        The same live log keeps the same token (so warm workers hit
-        their model cache); a finalizer retires the token when the log
-        is collected, so a recycled ``id`` can never alias a stale one.
-        """
-        key = (id(log), log.generation)
-        token = self._pickle_tokens.get(key)
-        if token is None:
-            self._token_serial += 1
-            token = f"pickle-{os.getpid()}-{self._token_serial}"
-            self._pickle_tokens[key] = token
-            weakref.finalize(log, self._pickle_tokens.pop, key, None)
-        return token
+        with self._handle_lock:
+            handle = cached()
+        if handle is not None:
+            return handle
+        payload = pickle.dumps((log_1, log_2, patterns, bound))
+        with self._handle_lock:
+            handle = cached()
+            if handle is None:  # else: lost a benign build race
+                handle = ModelHandle(
+                    f"model-{os.getpid()}-{next(_HANDLE_SERIAL)}", payload
+                )
+                self._handles.put(
+                    cache_key, (weakref.ref(log_1), weakref.ref(log_2), handle)
+                )
+        return handle
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -438,15 +395,13 @@ class WarmPool:
         return self._closed
 
     def close(self) -> None:
-        """Shut the executor down and unlink every cached arena."""
+        """Shut the executor down and drop the cached handles."""
         if self._closed:
             return
         self._closed = True
         self.executor.shutdown(wait=True, cancel_futures=True)
-        with self._arena_lock:
-            arenas = self._arenas.clear()
-        for arena in arenas:
-            arena.unlink()
+        with self._handle_lock:
+            self._handles.clear()
 
 
 # ----------------------------------------------------------------------
@@ -514,6 +469,5 @@ def warm_pool_stats() -> dict:
         "reuses": _pool_stats["reuses"],
         "live": pool is not None,
         "workers": pool.workers if pool is not None else 0,
-        "shm_bytes": pool.shm_bytes() if pool is not None else 0,
         "respawns": pool.respawns if pool is not None else 0,
     }

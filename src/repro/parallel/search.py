@@ -21,11 +21,13 @@ Three mechanisms make the fan-out cheaper than K cold searches:
   static partition would have stranded on a slow one; the chunk *list*
   is deterministic, only the claim order is dynamic, and the exact merge
   makes the result scheduling-independent.
-* **Shared-memory transport + warm pools** — logs travel to workers as
-  :class:`~repro.parallel.shm.ShmLogArena` segment names instead of
-  pickles, and the persistent :class:`~repro.parallel.pool.WarmPool`
-  keeps worker processes (and their cached score models) alive across
-  calls, so per-call setup is amortized to nothing in the steady state.
+* **Pickled-once payloads + warm pools** — the logs, patterns and bound
+  travel to workers as one :class:`~repro.parallel.pool.ModelHandle`
+  payload the parent pickles once per live log generation, and the
+  persistent :class:`~repro.parallel.pool.WarmPool` keeps worker
+  processes (and their cached score models) alive across calls, so a
+  warm worker never unpickles it again and per-call setup is amortized
+  to nothing in the steady state.
 * **Warm-start dominance** — the parent runs the advanced heuristic
   once (milliseconds), rescores its mapping through the search's own
   incremental ``g`` accumulation (so the seed score is bit-comparable
@@ -87,10 +89,10 @@ from repro.parallel.pool import (
 from repro.patterns.ast import Pattern
 from repro.patterns.index import PatternIndex
 
-#: Work-stealing granularity: chunks per worker when no explicit
-#: ``chunk_size`` is given.  More chunks = finer stealing but more
-#: per-chunk matcher setups; 4 keeps the steady-state claim loop short
-#: while letting a 2x-slower shard shed most of its backlog.
+#: Work-stealing granularity: chunks per worker.  More chunks = finer
+#: stealing but more per-chunk matcher setups; 4 keeps the steady-state
+#: claim loop short while letting a 2x-slower shard shed most of its
+#: backlog.
 CHUNKS_PER_WORKER = 4
 
 
@@ -149,26 +151,16 @@ def partition_root_targets(
 
 
 def chunk_root_targets(
-    targets: Sequence[Event],
-    workers: int,
-    chunk_size: int | None = None,
+    targets: Sequence[Event], workers: int
 ) -> list[list[Event]]:
     """The deterministic work-stealing chunk list for a run.
 
-    With no explicit ``chunk_size``, targets split into
-    ``workers * CHUNKS_PER_WORKER`` chunks (clamped to the target
-    count); an explicit size yields ``ceil(len/size)`` chunks.  The
-    list depends only on the sorted targets and the parameters — never
-    on scheduling — so every run over the same inputs steals from the
-    same queue.
+    Targets split into ``workers * CHUNKS_PER_WORKER`` chunks (clamped
+    to the target count).  The list depends only on the sorted targets
+    and the worker count — never on scheduling — so every run over the
+    same inputs steals from the same queue.
     """
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        chunks = -(-len(targets) // chunk_size)
-    else:
-        chunks = workers * CHUNKS_PER_WORKER
-    return partition_root_targets(targets, max(workers, chunks))
+    return partition_root_targets(targets, workers * CHUNKS_PER_WORKER)
 
 
 def _canonical_key(
@@ -192,7 +184,7 @@ def _run_worker_shard(
 
     Runs in a worker process.  The shared cells (incumbent + claim
     cursor) arrive by pool inheritance; the model comes from the
-    worker's LRU cache or is built from the handle's transport.  The
+    worker's LRU cache or is built from the handle's payload.  The
     parent seeds the shared incumbent with the rescored heuristic
     warm-start before any task starts and ships the same score here as
     the chunks' dominance threshold, so every chunk search hunts only
@@ -265,50 +257,6 @@ def _run_worker_shard(
     )
 
 
-def _build_handle(
-    pool: WarmPool,
-    log_1: EventLog,
-    log_2: EventLog,
-    patterns: tuple[Pattern, ...],
-    bound: BoundKind,
-    transport: str,
-) -> ModelHandle:
-    """Resolve ``transport`` and describe the model for the workers.
-
-    ``"auto"`` prefers shared memory and falls back to pickling when a
-    segment cannot be created (exotic platforms, exhausted /dev/shm).
-    """
-    if transport in ("auto", "shm"):
-        try:
-            arena_1 = pool.arena_for(log_1)
-            arena_2 = pool.arena_for(log_2)
-            return ModelHandle(
-                transport="shm",
-                cache_key=("shm", arena_1.name, arena_2.name, patterns, bound),
-                patterns=patterns,
-                bound=bound,
-                arenas=(arena_1.name, arena_2.name),
-            )
-        except Exception:
-            if transport == "shm":
-                raise
-    elif transport != "pickle":
-        raise ValueError(f"unknown transport {transport!r}")
-    return ModelHandle(
-        transport="pickle",
-        cache_key=(
-            "pickle",
-            pool.pickle_token(log_1),
-            pool.pickle_token(log_2),
-            patterns,
-            bound,
-        ),
-        patterns=patterns,
-        bound=bound,
-        logs=(log_1, log_2),
-    )
-
-
 def _warm_seed(
     pool: WarmPool,
     handle: ModelHandle,
@@ -353,7 +301,7 @@ def _warm_seed(
             score += model.g_increment(source, partial, rescore_stats)
         return score, dict(partial)
 
-    return pool.seed_for(handle.cache_key, build)
+    return pool.seed_for(handle.key, build)
 
 
 def parallel_match(
@@ -368,8 +316,6 @@ def parallel_match(
     strict: bool = False,
     include_vertices: bool = True,
     include_edges: bool = True,
-    transport: str = "auto",
-    chunk_size: int | None = None,
     reuse_pool: bool = True,
     probe: Probe | None = None,
 ) -> MatchOutcome:
@@ -384,18 +330,14 @@ def parallel_match(
     raises :class:`~repro.core.astar.SearchBudgetExceeded` instead,
     mirroring the serial matcher).
 
-    ``transport`` selects how logs reach the workers: ``"shm"`` (flat
-    shared-memory arenas), ``"pickle"`` (the portable fallback), or
-    ``"auto"`` (shm where available).  ``chunk_size`` fixes the
-    work-stealing granularity (roots per chunk); the default derives it
-    from the worker count.  ``reuse_pool=True`` runs on the persistent
-    module-level :class:`~repro.parallel.pool.WarmPool` so worker
-    processes and their cached score models survive into the next call;
-    ``reuse_pool=False`` spins up and tears down a private pool (cold).
+    ``reuse_pool=True`` runs on the persistent module-level
+    :class:`~repro.parallel.pool.WarmPool` so worker processes and their
+    cached score models survive into the next call; ``reuse_pool=False``
+    spins up and tears down a private pool (cold).
 
     Worker processes run with the null probe; the parent emits
     ``parallel.match`` spans, per-chunk metrics, steal counts, and
-    pool/arena gauges through ``probe``.
+    pool gauges through ``probe``.
     """
     if probe is None:
         probe = NULL_PROBE
@@ -421,7 +363,7 @@ def parallel_match(
     # score model — the parent stays cheap while workers pay for the
     # evaluators exactly once per process lifetime.
     order = PatternIndex(full_patterns).expansion_order(sources)
-    chunks = chunk_root_targets(targets, effective, chunk_size)
+    chunks = chunk_root_targets(targets, effective)
     tasks = min(effective, len(chunks))
 
     if reuse_pool:
@@ -432,23 +374,16 @@ def parallel_match(
         reused = False
         pool = WarmPool(effective)
     try:
-        handle = _build_handle(
-            pool, log_1, log_2, tuple(full_patterns), bound, transport
-        )
+        handle = pool.handle_for(log_1, log_2, tuple(full_patterns), bound)
         seed_score, seed_mapping = _warm_seed(
             pool, handle, log_1, log_2, full_patterns, bound, order, targets
         )
         with probe.span(
-            "parallel.match",
-            workers=effective,
-            chunks=len(chunks),
-            transport=handle.transport,
+            "parallel.match", workers=effective, chunks=len(chunks)
         ):
             if probe.enabled:
                 probe.on_parallel_run(effective, len(chunks))
                 probe.on_pool_event(reused, effective)
-                if handle.transport == "shm":
-                    probe.on_shm_bytes(pool.shm_bytes())
             with pool.lock:
                 pool.begin_run(seed_score)
                 futures = [

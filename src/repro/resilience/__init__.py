@@ -23,11 +23,9 @@ degrades instead of failing.
   :class:`~repro.stream.engine.OnlineMatcher` through a versioned JSON
   document and resume mid-stream.
 * **Supervised execution** — :class:`RetryPolicy` (deadlines, bounded
-  retries with seeded backoff jitter, poison-job verdicts),
+  retries with seeded backoff jitter, poison-job verdicts) and
   :class:`DegradedStateMachine` (the daemon's READY/DEGRADED
-  readiness), and the crash-safe :class:`ShmSegmentRegistry` that
-  reaps shared-memory segments orphaned by dead processes (see
-  :mod:`repro.resilience.supervise`).
+  readiness; see :mod:`repro.resilience.supervise`).
 """
 
 from repro.resilience.chaos import (
@@ -51,13 +49,7 @@ from repro.resilience.quarantine import (
     sanitize_events,
 )
 from repro.resilience.recovery import RecoveryStats
-from repro.resilience.supervise import (
-    DegradedStateMachine,
-    RetryPolicy,
-    ShmSegmentRegistry,
-    pid_alive,
-    reap_orphan_segments,
-)
+from repro.resilience.supervise import DegradedStateMachine, RetryPolicy
 from repro.resilience.validation import TraceValidator
 
 __all__ = [
@@ -72,13 +64,10 @@ __all__ = [
     "QuarantineStore",
     "RecoveryStats",
     "RetryPolicy",
-    "ShmSegmentRegistry",
     "TraceValidator",
     "corrupt_delta_state",
     "load_checkpoint",
     "load_spilled",
-    "pid_alive",
-    "reap_orphan_segments",
     "replay_spilled",
     "save_checkpoint",
     "sanitize_events",

@@ -46,8 +46,6 @@ class RecoveryStats:
     jobs_deadline_exceeded: int = 0
     #: Submissions rejected (HTTP 429) because the job queue was full.
     backpressure_rejections: int = 0
-    #: Orphaned shared-memory segments unlinked at startup reaping.
-    shm_segments_reaped: int = 0
 
     def merge(self, other: "RecoveryStats") -> None:
         """Accumulate another layer's counters into this one."""

@@ -16,14 +16,8 @@ instead of payloads:
   until some component marks a reason (worker pool rebuilding, queue
   saturated), DEGRADED until every reason clears.  ``/readyz`` serves
   its verdict as 200/503.
-* :class:`ShmSegmentRegistry` — a crash-safe, append-only on-disk
-  registry of shared-memory segments (name, owner pid, created_at).
-  Arenas register on creation and unregister on unlink; a process that
-  dies abruptly leaves its entries behind, and the next pool or daemon
-  startup calls :func:`reap_orphan_segments` to unlink every segment
-  whose owner pid is dead.  Combined with the ``atexit`` backstop in
-  :mod:`repro.parallel.shm`, ``/dev/shm`` can no longer accumulate
-  leaked arenas across crashes, tests, or CI runs.
+* :func:`reap_stale_files` — sweeps crash-safe byproducts (telemetry
+  span spools, per-worker profiles) that a dead daemon left behind.
 
 Everything here is parent-side bookkeeping on cold paths (job
 transitions, pool rebuilds, startup) — the no-fault path pays a few
@@ -33,15 +27,10 @@ dict/float operations per job, which ``bench_resilience`` bounds at
 
 from __future__ import annotations
 
-import contextlib
-import json
 import math
-import os
 import random
-import tempfile
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 #: Outcome kinds a supervised attempt can end with (the retry policy
@@ -196,246 +185,17 @@ class DegradedStateMachine:
         return {"status": self.state, "reasons": self.reasons()}
 
 
-# ----------------------------------------------------------------------
-# Crash-safe shared-memory segment registry
-# ----------------------------------------------------------------------
-
-#: Serializes every touch of ``multiprocessing.resource_tracker``'s
-#: process-global ``register`` hook.  Both :func:`_unlink_segment` and
-#: :meth:`repro.parallel.shm.ShmLogArena.attach` temporarily replace it
-#: with a no-op, while :meth:`~repro.parallel.shm.ShmLogArena.create`
-#: relies on the real registration — so creators take the same lock
-#: around the registering call.  Without it a reap racing a create
-#: could leave the new segment silently untracked, or one patcher could
-#: restore the original over another's still-active patch.
-TRACKER_PATCH_LOCK = threading.Lock()
-
-
-def pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (EPERM counts as alive)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
-def default_registry_path() -> Path:
-    """The per-user default location of the segment registry."""
-    uid = os.getuid() if hasattr(os, "getuid") else 0
-    return Path(tempfile.gettempdir()) / f"repro-shm-registry-{uid}.jsonl"
-
-
-@dataclass
-class ShmSegmentRegistry:
-    """Append-only JSONL ledger of live shared-memory segments.
-
-    Each arena creation appends ``{"op": "add", "name", "pid",
-    "created_at"}`` and each unlink appends ``{"op": "del", "name"}``;
-    the live set is adds minus dels.  Appends are single short lines,
-    so concurrent writers from several processes interleave whole
-    records; a torn final line (the crash this ledger exists for) is
-    tolerated on read, exactly like the quarantine spill file.  The
-    ledger self-compacts once the dead prefix dominates.
-    """
-
-    path: Path = field(default_factory=default_registry_path)
-    #: Rewrite the ledger once it holds this many lines but few live ones.
-    compact_after: int = 512
-
-    def __post_init__(self):
-        self.path = Path(self.path)
-
-    # -- writing ---------------------------------------------------------
-    def register(self, name: str, pid: int | None = None) -> None:
-        self._append(
-            {
-                "op": "add",
-                "name": name,
-                "pid": pid if pid is not None else os.getpid(),
-                "created_at": time.time(),
-            }
-        )
-
-    def unregister(self, name: str) -> None:
-        self._append({"op": "del", "name": name})
-
-    def _append(self, record: dict) -> None:
-        try:
-            with self._locked(), open(self.path, "a") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        except OSError:
-            pass  # a failing ledger disk must never block matching
-
-    @contextlib.contextmanager
-    def _locked(self):
-        """Exclusive inter-process lock over the ledger (best-effort).
-
-        Appends are whole-line atomic on POSIX, but compaction is
-        read-then-replace: without a lock, an ``add`` appended by
-        another live process between the read and the replace vanishes,
-        and that process's segment leaks untracked if its owner later
-        dies abruptly.  ``flock`` on a sibling ``.lock`` file keeps
-        appenders and the compactor mutually exclusive across
-        processes; the kernel releases it even if the holder dies.
-        Platforms without ``fcntl`` (and unwritable lock dirs) fall
-        back to lock-free appends.
-        """
-        try:
-            import fcntl
-        except ImportError:  # pragma: no cover - non-POSIX fallback
-            yield
-            return
-        try:
-            handle = open(self.path.with_name(self.path.name + ".lock"), "a")
-        except OSError:  # pragma: no cover - unwritable lock dir
-            yield
-            return
-        try:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-            yield
-        finally:
-            handle.close()
-
-    # -- reading ---------------------------------------------------------
-    def _read(self) -> tuple[dict[str, dict], int]:
-        """``(live entries by name, total ledger lines)``."""
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return {}, 0
-        live: dict[str, dict] = {}
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                op, name = record["op"], record["name"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                if number == len(lines):
-                    break  # torn tail from a crash mid-append
-                continue  # interleaved garbage: skip, don't wedge
-            if op == "add":
-                live[name] = record
-            elif op == "del":
-                live.pop(name, None)
-        return live, len(lines)
-
-    def live_segments(self) -> dict[str, dict]:
-        """Registered-and-not-unregistered segments, by name."""
-        return self._read()[0]
-
-    def orphans(self) -> list[dict]:
-        """Live entries whose owner pid is dead."""
-        return [
-            entry
-            for entry in self.live_segments().values()
-            if not pid_alive(int(entry.get("pid", 0)))
-        ]
-
-    # -- reaping ---------------------------------------------------------
-    def reap(self) -> int:
-        """Unlink every orphaned segment; returns how many were reaped.
-
-        Only segments whose *owner pid is dead* are touched — a live
-        daemon's arenas are never at risk, no matter how many processes
-        reap concurrently (a second reaper just finds the segment
-        already gone).  Afterwards the ledger is compacted if it has
-        accumulated enough dead history.
-        """
-        reaped = 0
-        for entry in self.orphans():
-            name = entry["name"]
-            if _unlink_segment(name):
-                reaped += 1
-            # Gone or never existed either way: retire the entry.
-            self.unregister(name)
-        self._maybe_compact()
-        return reaped
-
-    def _maybe_compact(self) -> None:
-        # The read must happen under the same lock as the replace, or a
-        # concurrent writer's append lands between them and is lost.
-        with self._locked():
-            live, total = self._read()
-            if total < self.compact_after or total <= 2 * len(live) + 1:
-                return
-            try:
-                temp = self.path.with_suffix(".jsonl.tmp")
-                with open(temp, "w") as handle:
-                    for entry in live.values():
-                        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                os.replace(temp, self.path)
-            except OSError:
-                pass
-
-
-def _unlink_segment(name: str) -> bool:
-    """Best-effort unlink of a shared-memory segment by name."""
-    from multiprocessing import resource_tracker, shared_memory
-
-    # Same CPython-<3.13 caveat as ShmLogArena.attach: opening a segment
-    # registers it with the resource tracker as if we owned it; suppress
-    # so reaping another process's leak doesn't unbalance the tracker.
-    # The lock keeps a concurrent arena create (which depends on real
-    # registration) or attach from racing the patch window.
-    with TRACKER_PATCH_LOCK:
-        tracked_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            return False
-        except OSError:
-            return False
-        finally:
-            resource_tracker.register = tracked_register
-    try:
-        segment.close()
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - raced another reaper
-        return False
-    return True
-
-
-#: The process-wide default registry (module-level so the arena layer,
-#: the warm pool, and the daemon all share one ledger).
-_default_registry: ShmSegmentRegistry | None = None
-
-
-def get_segment_registry() -> ShmSegmentRegistry:
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = ShmSegmentRegistry()
-    return _default_registry
-
-
-def set_segment_registry(registry: ShmSegmentRegistry | None) -> None:
-    """Override the default ledger (tests point it at a tmp path)."""
-    global _default_registry
-    _default_registry = registry
-
-
-def reap_orphan_segments() -> int:
-    """Reap dead-owner segments via the default registry."""
-    return get_segment_registry().reap()
-
-
 def reap_stale_files(
     directory, suffixes: tuple[str, ...], known_prefixes=()
 ) -> int:
     """Unlink files in ``directory`` no live owner can claim.
 
-    The tmp-file sibling of :func:`reap_orphan_segments`: crash-safe
-    byproducts (telemetry span spools, per-worker profiles) are written
-    under a state directory with a ``<owner-id>.<rest><suffix>`` name;
-    after a daemon death nobody will ever merge them, so the successor
-    sweeps everything whose owner id (the filename up to the first
-    ``.``) is not in ``known_prefixes``.  Races with a concurrent
+    Crash-safe byproducts (telemetry span spools, per-worker profiles)
+    are written under a state directory with a
+    ``<owner-id>.<rest><suffix>`` name; after a daemon death nobody
+    will ever merge them, so the successor sweeps everything whose
+    owner id (the filename up to the first ``.``) is not in
+    ``known_prefixes``.  Races with a concurrent
     writer or reaper are benign — an unlink that loses just finds the
     file gone.  Returns how many files were removed.
     """

@@ -51,7 +51,6 @@ from repro.resilience.supervise import (
     OUTCOME_DEADLINE,
     DegradedStateMachine,
     RetryPolicy,
-    reap_orphan_segments,
     reap_stale_files,
 )
 from repro.service.jobs import JobQueue, MatchJob, QueueFullError
@@ -138,13 +137,6 @@ class MatchingService:
         self._retry_rng = self.retry_policy.rng()
         self.recovery = RecoveryStats()
         self.readiness = DegradedStateMachine()
-        # Crash-safe shm lifecycle: before building anything that could
-        # allocate segments, unlink whatever a dead predecessor leaked.
-        reaped = reap_orphan_segments()
-        if reaped:
-            self.recovery.shm_segments_reaped += reaped
-            if probe.enabled:
-                probe.on_shm_reaped(reaped)
         self.telemetry = TelemetryHub(
             self.state_dir,
             registry=getattr(probe, "metrics", None),
@@ -584,7 +576,6 @@ class MatchingService:
                 "backpressure_rejections": (
                     self.recovery.backpressure_rejections
                 ),
-                "shm_segments_reaped": self.recovery.shm_segments_reaped,
             },
         }
 

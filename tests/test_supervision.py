@@ -1,5 +1,5 @@
-"""Supervised execution: worker-crash recovery, retries, backpressure,
-and the crash-safe shared-memory lifecycle.
+"""Supervised execution: worker-crash recovery, retries, and
+backpressure.
 
 The centerpiece is the seeded worker-kill chaos test: SIGKILL a warm-pool
 worker mid-job via :meth:`ChaosInjector.kill_worker` and assert the
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 import time
 import urllib.error
 import urllib.request
@@ -27,13 +25,7 @@ from repro.log.eventlog import EventLog
 from repro.parallel import pool as pool_module
 from repro.resilience.chaos import ChaosConfig, ChaosInjector
 from repro.resilience.recovery import RecoveryStats
-from repro.resilience.supervise import (
-    DegradedStateMachine,
-    RetryPolicy,
-    ShmSegmentRegistry,
-    pid_alive,
-    set_segment_registry,
-)
+from repro.resilience.supervise import DegradedStateMachine, RetryPolicy
 from repro.service import workers as workers_module
 from repro.service.api import ServiceAPI
 from repro.service.daemon import MatchingService
@@ -407,140 +399,7 @@ class TestBackpressureAPI:
             "jobs_poisoned",
             "jobs_deadline_exceeded",
             "backpressure_rejections",
-            "shm_segments_reaped",
         }
-
-
-# ----------------------------------------------------------------------
-# Crash-safe shm registry
-# ----------------------------------------------------------------------
-class TestShmSegmentRegistry:
-    @pytest.fixture
-    def registry(self, tmp_path):
-        registry = ShmSegmentRegistry(path=tmp_path / "registry.jsonl")
-        set_segment_registry(registry)
-        yield registry
-        set_segment_registry(None)
-
-    def test_register_unregister_round_trip(self, registry):
-        registry.register("seg-a")
-        registry.register("seg-b", pid=os.getpid())
-        registry.unregister("seg-a")
-        live = registry.live_segments()
-        assert set(live) == {"seg-b"}
-        assert live["seg-b"]["pid"] == os.getpid()
-
-    def test_orphans_are_entries_with_dead_pids(self, registry):
-        registry.register("alive", pid=os.getpid())
-        # Fork a child that exits immediately: a guaranteed-dead pid.
-        dead = os.fork()
-        if dead == 0:
-            os._exit(0)
-        os.waitpid(dead, 0)
-        registry.register("orphan", pid=dead)
-        names = {entry["name"] for entry in registry.orphans()}
-        assert names == {"orphan"}
-
-    def test_reap_unlinks_orphaned_segment(self, registry):
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=64)
-        name = segment.name
-        segment.close()
-        dead = os.fork()
-        if dead == 0:
-            os._exit(0)
-        os.waitpid(dead, 0)
-        registry.register(name, pid=dead)
-        assert registry.reap() == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-        assert registry.live_segments() == {}
-
-    def test_reap_spares_live_owner_segments(self, registry):
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=64)
-        registry.register(segment.name)  # our own live pid
-        try:
-            assert registry.reap() == 0
-            assert segment.name in registry.live_segments()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_torn_tail_is_tolerated(self, registry):
-        registry.register("seg-a")
-        with open(registry.path, "a") as handle:
-            handle.write('{"op": "add", "na')  # crash mid-append
-        assert set(registry.live_segments()) == {"seg-a"}
-
-    def test_compaction_rewrites_dead_history(self, tmp_path):
-        registry = ShmSegmentRegistry(
-            path=tmp_path / "compact.jsonl", compact_after=10
-        )
-        for n in range(20):
-            registry.register(f"seg-{n}", pid=os.getpid())
-            registry.unregister(f"seg-{n}")
-        registry.register("keeper", pid=os.getpid())
-        registry.reap()
-        lines = registry.path.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["name"] == "keeper"
-
-    def test_arena_lifecycle_registers_and_unregisters(self, registry):
-        from repro.parallel.shm import ShmLogArena
-
-        arena = ShmLogArena.create(LEFT)
-        name = arena.name
-        assert name in registry.live_segments()
-        arena.unlink()
-        assert name not in registry.live_segments()
-
-    def test_sigkilled_creator_is_reaped_at_service_startup(
-        self, registry, tmp_path
-    ):
-        """End-to-end: a process creates an arena, dies without cleanup,
-        and the next MatchingService startup reaps the leak."""
-        script = (
-            "import os, sys\n"
-            "sys.path.insert(0, {src!r})\n"
-            "from multiprocessing import resource_tracker\n"
-            "# A real crash (OOM kill, docker kill) takes the resource\n"
-            "# tracker down with the process; suppress its registration\n"
-            "# so it cannot tidy the leak on our behalf here.\n"
-            "resource_tracker.register = lambda *a, **k: None\n"
-            "from repro.resilience.supervise import (\n"
-            "    ShmSegmentRegistry, set_segment_registry)\n"
-            "set_segment_registry(ShmSegmentRegistry(path={reg!r}))\n"
-            "from repro.log.eventlog import EventLog\n"
-            "from repro.parallel.shm import ShmLogArena\n"
-            "log = EventLog([['a', 'b'], ['a', 'c']], name='leaky')\n"
-            "arena = ShmLogArena.create(log)\n"
-            "print(arena.name, flush=True)\n"
-            "os.kill(os.getpid(), 9)\n"
-        ).format(
-            src=str(Path(__file__).resolve().parents[1] / "src"),
-            reg=str(registry.path),
-        )
-        process = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
-        )
-        assert process.returncode == -9
-        leaked = process.stdout.strip()
-        assert leaked
-        assert not pid_alive(
-            int(registry.live_segments()[leaked]["pid"])
-        )
-        service = MatchingService(
-            tmp_path / "state", processes=0, checkpoint_every=None
-        )
-        assert service.recovery.shm_segments_reaped >= 1
-        assert leaked not in registry.live_segments()
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=leaked)
 
 
 # ----------------------------------------------------------------------
@@ -616,10 +475,12 @@ class TestSupervisionReporting:
 
     def test_recovery_stats_merge_covers_new_fields(self):
         merged = RecoveryStats(jobs_retried=1, jobs_poisoned=2)
-        merged.merge(RecoveryStats(jobs_retried=4, shm_segments_reaped=5))
+        merged.merge(
+            RecoveryStats(jobs_retried=4, backpressure_rejections=5)
+        )
         assert merged.jobs_retried == 5
         assert merged.jobs_poisoned == 2
-        assert merged.shm_segments_reaped == 5
+        assert merged.backpressure_rejections == 5
 
 
 # ----------------------------------------------------------------------
@@ -710,14 +571,6 @@ class TestFailOverHarvest:
         assert pool.respawns == 1  # harvest did not respawn again
 
 
-class TestTrackerPatchLock:
-    def test_lock_is_shared_between_reaper_and_arena(self):
-        from repro.parallel import shm
-        from repro.resilience import supervise
-
-        assert shm.TRACKER_PATCH_LOCK is supervise.TRACKER_PATCH_LOCK
-
-
 # ----------------------------------------------------------------------
 # WorkerPool shutdown: bounded drain
 # ----------------------------------------------------------------------
@@ -732,12 +585,18 @@ class TestBoundedShutdown:
 # The tentpole chaos test: SIGKILL a worker mid-job, recover bit-identical
 # ----------------------------------------------------------------------
 def _held_execute(payload):
-    """Poll-wait on a hold file, then run the real job.
+    """Record the executing pid, poll-wait on a hold file, run the job.
 
     Module-level so it pickles by reference; the hold-file path arrives
-    via the environment, which forked workers inherit.
+    via the environment, which forked workers inherit.  The pid lands in
+    ``<hold>.pid`` (written atomically) so the test can kill exactly the
+    worker holding the job.
     """
     hold = os.environ.get("REPRO_TEST_HOLD")
+    if hold:
+        staged = f"{hold}.pid.tmp"
+        Path(staged).write_text(str(os.getpid()))
+        os.replace(staged, f"{hold}.pid")
     deadline = time.monotonic() + 30.0
     while hold and os.path.exists(hold):
         if time.monotonic() > deadline:  # pragma: no cover - safety net
@@ -750,13 +609,6 @@ _held_execute.real = workers_module.execute_match_job
 
 
 class TestWorkerKillChaos:
-    @pytest.fixture(autouse=True)
-    def isolated_registry(self, tmp_path):
-        registry = ShmSegmentRegistry(path=tmp_path / "registry.jsonl")
-        set_segment_registry(registry)
-        yield registry
-        set_segment_registry(None)
-
     def test_killed_worker_recovers_to_identical_mapping(
         self, tmp_path, monkeypatch
     ):
@@ -787,11 +639,18 @@ class TestWorkerKillChaos:
             while not service.pool.worker_pids():
                 assert time.monotonic() < deadline, "workers never spawned"
                 time.sleep(0.01)
-            time.sleep(0.1)  # let the worker enter the held recipe
+            pid_file = Path(f"{hold}.pid")
+            while not pid_file.exists():
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.01)
+            holder = int(pid_file.read_text())
 
+            # Kill the worker holding the job, never the idle one: an
+            # idle victim lets the held job finish before the executor
+            # notices the death.
             injector = ChaosInjector(ChaosConfig(seed=7))
-            victim = injector.kill_worker(service.pool.worker_pids())
-            assert victim is not None
+            victim = injector.kill_worker([holder])
+            assert victim == holder
             assert injector.actions.workers_killed == 1
 
             hold.unlink()  # release the (now re-run) recipe
@@ -810,8 +669,3 @@ class TestWorkerKillChaos:
         finally:
             service.shutdown()
             pool_module.close_warm_pool()
-
-    def test_no_orphaned_segments_after_chaos(self, isolated_registry):
-        # After the kill-and-recover test tore everything down, nothing
-        # this registry tracked may still be attached to a dead owner.
-        assert isolated_registry.orphans() == []

@@ -39,11 +39,7 @@ from repro.obs.telemetry import (
 )
 from repro.obs import benchtrend
 from repro.parallel import pool as pool_module
-from repro.resilience.supervise import (
-    RetryPolicy,
-    ShmSegmentRegistry,
-    set_segment_registry,
-)
+from repro.resilience.supervise import RetryPolicy
 from repro.service import workers as workers_module
 from repro.service.api import ServiceAPI
 from repro.service.daemon import MatchingService
@@ -331,13 +327,6 @@ _execute_then_park.real = workers_module.execute_match_job
 
 
 class TestKillRetryLineage:
-    @pytest.fixture(autouse=True)
-    def isolated_registry(self, tmp_path):
-        registry = ShmSegmentRegistry(path=tmp_path / "registry.jsonl")
-        set_segment_registry(registry)
-        yield registry
-        set_segment_registry(None)
-
     def test_spans_survive_worker_kill_with_retry_lineage(
         self, tmp_path, monkeypatch
     ):
