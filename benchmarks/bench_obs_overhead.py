@@ -209,7 +209,6 @@ def telemetry_tax(scale, tmp_path_factory):
         "time_budget": None,
         "strict": False,
         "degraded_fallback": None,
-        "workers": 1,
         "deadline": None,
     }
     telemetry = {

@@ -1,27 +1,21 @@
-"""Parallel execution — root-split and blocked fan-out, TargetCaps gains.
+"""Parallel execution — root-split speedup and TargetCaps gains.
 
-Three measurements back the ``repro.parallel`` layer:
+Two measurements back the ``repro.parallel`` layer:
 
 * **Root-split speedup** — the exact A* search of a fig12-style task,
   serial versus root-split over K worker processes
   (:func:`repro.parallel.search.parallel_match`).  Each worker count is
-  measured **cold** (``reuse_pool=False``: fork, ship, tear down) and
-  **warm** (second call on the persistent
+  measured **cold** (first call after ``close_warm_pool()``: fork, ship,
+  build) and **warm** (second call on the persistent
   :class:`~repro.parallel.pool.WarmPool`, so worker processes, cached
   score models, model payloads, and the heuristic dominance seed are
-  all already in place).  The warm number is the steady-state cost the
-  service and sweep layers actually pay.  The parallel result must
+  all already in place).  The warm number is the steady-state cost of
+  repeated matches over the same logs.  The parallel result must
   equal the serial one bit-for-bit (mapping and score) in every
   configuration.  On single-core runners the honest expectation is ≈1×
   minus pool overhead — the recorded ``cpu_count`` puts every number in
   context, and the warm speedup is only asserted (> 1.0) on multi-core
   runners past smoke scale.
-* **Blocked fan-out** — a large-vocabulary blocked match (the
-  ``blocked-vocab`` end-to-end workload's input shape), serial versus
-  warm at the largest worker count, where each ambiguous block is one
-  pool task.  Its in-block searches are small, so this row measures
-  what each block task pays to reach its worker's cached model; it is
-  recorded, not gated.
 * **Caps-vs-rescan microbenchmark** — ``ScoreModel.h`` answered through
   the sorted :class:`~repro.core.bounds.TargetCaps` lists versus the
   induced-subgraph rescan it replaced, on identical call sequences.
@@ -38,13 +32,8 @@ import pytest
 from benchmarks.conftest import bench_scale, record_bench, save_report
 from repro.core.astar import AStarMatcher
 from repro.core.bounds import BoundKind
-from repro.core.matcher import match
 from repro.core.scoring import ScoreModel, build_pattern_set
-from repro.datagen import (
-    generate_largevocab,
-    generate_reallike,
-    generate_synthetic,
-)
+from repro.datagen import generate_reallike, generate_synthetic
 from repro.parallel import parallel_match
 from repro.parallel.pool import close_warm_pool
 
@@ -54,17 +43,6 @@ _SIZES = {
     "quick": (10, (2, 4)),
     "paper": (11, (2, 4, 8)),
 }
-
-#: Blocked fan-out task: (families, roles per family, traces) of the
-#: large-vocabulary generator.  Quick is the blocked-vocab workload's
-#: 84-event input (~19 ambiguous 6x6 blocks), sized to finish in
-#: seconds.
-_BLOCKED_SIZES = {
-    "smoke": (6, 4, 600),
-    "quick": (14, 6, 3000),
-    "paper": (20, 6, 3000),
-}
-_BLOCKING = {"frequency_gap": 0.012, "exact_cutoff": 8}
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +60,11 @@ def speedup_series(scale):
     serial = AStarMatcher(model).match()
     serial_seconds = time.perf_counter() - started
 
-    def timed(workers, reuse_pool=True):
+    def timed(workers):
         started = time.perf_counter()
         par = parallel_match(
             task.log_1, task.log_2, task.patterns,
-            bound=BoundKind.TIGHT, workers=workers, reuse_pool=reuse_pool,
+            bound=BoundKind.TIGHT, workers=workers,
         )
         elapsed = time.perf_counter() - started
         assert par.score == pytest.approx(serial.score, abs=1e-12)
@@ -96,8 +74,7 @@ def speedup_series(scale):
     rows = []
     for workers in worker_counts:
         close_warm_pool()  # the cold number must not inherit live workers
-        cold_seconds, _ = timed(workers, reuse_pool=False)
-        timed(workers)  # populate the persistent pool + caches
+        cold_seconds, _ = timed(workers)  # also populates pool + caches
         warm_seconds, par = timed(workers)
         rows.append(
             {
@@ -120,40 +97,6 @@ def speedup_series(scale):
         "serial_expanded": serial.stats.expanded_nodes,
         "cpu_count": os.cpu_count(),
         "rows": rows,
-    }
-
-
-@pytest.fixture(scope="module")
-def blocked_series(scale):
-    families, roles, traces = _BLOCKED_SIZES[scale]
-    workers = _SIZES[scale][1][-1]
-    task = generate_largevocab(
-        num_families=families, roles_per_family=roles, num_traces=traces,
-        seed=11, family_chains=True, families_per_level=1,
-    )
-
-    def timed(worker_count):
-        started = time.perf_counter()
-        result = match(
-            task.log_1, task.log_2, task.patterns,
-            workers=worker_count, blocking=_BLOCKING,
-        )
-        return time.perf_counter() - started, result
-
-    serial_seconds, serial = timed(1)
-    close_warm_pool()
-    timed(workers)  # populate the persistent pool + caches
-    warm_seconds, par = timed(workers)
-    close_warm_pool()
-    assert par.score == serial.score
-    assert par.mapping.as_dict() == serial.mapping.as_dict()
-    return {
-        "events": len(task.log_1.alphabet()),
-        "blocks_searched": serial.stats.blocking_escalated,
-        "workers": workers,
-        "serial_seconds": round(serial_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "warm_speedup": round(serial_seconds / warm_seconds, 3),
     }
 
 
@@ -214,7 +157,7 @@ def caps_series(scale):
     }
 
 
-def test_parallel_series(speedup_series, blocked_series, caps_series):
+def test_parallel_series(speedup_series, caps_series):
     lines = [
         f"root-split speedup ({speedup_series['events']} events, "
         f"cpu_count={speedup_series['cpu_count']}, "
@@ -228,14 +171,6 @@ def test_parallel_series(speedup_series, blocked_series, caps_series):
             f"{row['expanded_nodes']}, dropped {row['dropped_on_pop']}"
         )
     lines.append(
-        f"blocked fan-out ({blocked_series['events']} events, "
-        f"{blocked_series['blocks_searched']} blocks searched, "
-        f"workers={blocked_series['workers']}, warm): "
-        f"serial {blocked_series['serial_seconds']}s vs parallel "
-        f"{blocked_series['warm_seconds']}s "
-        f"({blocked_series['warm_speedup']}x)"
-    )
-    lines.append(
         f"caps-vs-rescan ({caps_series['targets']} targets, "
         f"{caps_series['calls']} h calls): caps "
         f"{caps_series['caps_seconds']}s vs rescan "
@@ -246,11 +181,7 @@ def test_parallel_series(speedup_series, blocked_series, caps_series):
     record_bench(
         "parallel",
         {"scale": bench_scale()},
-        {
-            "root_split": speedup_series,
-            "blocked": blocked_series,
-            "caps": caps_series,
-        },
+        {"root_split": speedup_series, "caps": caps_series},
     )
     # The sorted-caps fast path must never lose to the rescan it
     # replaced.  Smoke's millisecond totals are too noisy for a strict

@@ -14,10 +14,9 @@ events, so ``score(M) = Σ_blocks (patterns inside the block) +
   same logs, same frequencies, vocabulary narrowed to the block — so
   each block's score is an exact summand of the global score.  Blocks
   larger than ``exact_cutoff`` fall back to the advanced heuristic.
-  With ``workers > 1`` the escalated blocks are submitted to the warm
-  worker pool as independent tasks: blocks are disjoint, so they form a
-  natural work-stealing queue (the next free worker claims the next
-  block) with no cross-talk to coordinate.
+  Blocks are searched serially, one after another: the in-block
+  searches are a small share of a blocked run, so fanning them out
+  over processes does not pay.
 * **Tier 2 — residual cleanup**: sources from one-sided clusters plus
   any sources an unbalanced block could not place are matched against
   every still-unused target in one final search, keeping the composed
@@ -50,12 +49,11 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.blocking.plan import Block, BlockingPlan, build_plan
+from repro.blocking.plan import Block, build_plan
 from repro.blocking.signals import BlockingConfig
-from repro.core.astar import AStarMatcher, SearchBudgetExceeded
+from repro.core.astar import AStarMatcher
 from repro.core.bounds import BoundKind
 from repro.core.distance import frequency_similarity
 from repro.core.mapping import Mapping
@@ -140,91 +138,6 @@ def _search_tier(
     )
 
 
-def _match_block_task(
-    handle,
-    sources: tuple[Event, ...],
-    targets: tuple[Event, ...],
-    config_payload: dict,
-    bound: BoundKind,
-    node_budget: int | None,
-    time_budget: float | None,
-) -> _TierResult:
-    """One warm-pool task: materialize the cached full model, search one block.
-
-    Runs in a worker process.  The full model comes from the worker's
-    LRU cache (the same handle machinery the root-split parallel search
-    uses), so repeated blocked matches over the same logs pay the model
-    build once per worker lifetime; the per-block restriction on top is
-    cheap (shared evaluators and graphs).
-    """
-    from repro.parallel.pool import materialize_model
-
-    model, _ = materialize_model(handle)
-    return _search_tier(
-        model,
-        sources,
-        targets,
-        bound,
-        BlockingConfig.from_dict(config_payload),
-        node_budget,
-        time_budget,
-        strict=False,
-    )
-
-
-def _parallel_escalation(
-    full_model: ScoreModel,
-    escalated: list[Block],
-    config: BlockingConfig,
-    bound: BoundKind,
-    node_budget: int | None,
-    time_budget: float | None,
-    workers: int,
-    probe: Probe,
-) -> list[_TierResult] | None:
-    """Fan escalated blocks out over the warm pool; ``None`` → run serial.
-
-    Each block is one independent task: the executor hands the next
-    block to the next free worker, which is exactly the work-stealing
-    schedule — no shared incumbent or cursor is needed because blocks
-    are disjoint in both sources and targets.  Results are collected in
-    submission order, so the composition is scheduling-independent.
-    """
-    from repro.parallel.pool import get_warm_pool
-
-    effective = max(1, min(workers, len(escalated)))
-    if effective <= 1:
-        return None
-    pool = get_warm_pool(effective)
-    handle = pool.handle_for(
-        full_model.log_1, full_model.log_2, full_model.patterns, bound
-    )
-    config_payload = config.to_dict()
-    with probe.span(
-        "blocking.parallel", workers=effective, blocks=len(escalated)
-    ):
-        if probe.enabled:
-            probe.on_parallel_run(effective, len(escalated))
-        futures = [
-            pool.submit(
-                _match_block_task,
-                handle,
-                block.sources,
-                block.targets,
-                config_payload,
-                bound,
-                node_budget,
-                time_budget,
-            )
-            for block in escalated
-        ]
-        try:
-            return [future.result() for future in futures]
-        except BrokenProcessPool:
-            pool.close()
-            return None
-
-
 def tiered_match(
     log_1: EventLog,
     log_2: EventLog,
@@ -237,14 +150,12 @@ def tiered_match(
     include_vertices: bool = True,
     include_edges: bool = True,
     probe: Probe | None = None,
-    workers: int = 1,
 ) -> MatchOutcome:
     """Blocked exact matching (see module docstring).
 
     Budgets apply per escalated block; ``strict=True`` raises
     :class:`~repro.core.astar.SearchBudgetExceeded` as soon as any
-    in-block search exhausts its budget (parallel escalations finish
-    their claimed blocks first, mirroring the root-split parallel path).
+    in-block search exhausts its budget.
     """
     if probe is None:
         probe = NULL_PROBE
@@ -298,30 +209,11 @@ def tiered_match(
             escalated.append(block)
             pairs_considered += block.pairs
 
-    results: list[_TierResult] | None = None
-    if workers > 1 and len(escalated) > 1:
-        results = _parallel_escalation(
-            full_model, escalated, config, bound, node_budget,
-            time_budget, workers, probe,
+    for block in escalated:
+        result = _search_tier(
+            full_model, block.sources, block.targets, bound, config,
+            node_budget, time_budget, strict,
         )
-        if results is not None and strict:
-            for result in results:
-                if result.degraded:
-                    for result_ in results:
-                        merged.merge(result_.stats)
-                    raise SearchBudgetExceeded(
-                        "blocked search budget exhausted", merged
-                    )
-    if results is None:
-        results = [
-            _search_tier(
-                full_model, block.sources, block.targets, bound, config,
-                node_budget, time_budget, strict,
-            )
-            for block in escalated
-        ]
-
-    for block, result in zip(escalated, results):
         tier = open_tier(block.targets, result.exact)
         for source in block.sources:
             tier_of[source] = tier

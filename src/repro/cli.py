@@ -500,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     match_parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="root-split the exact pattern-* search over N worker "
-        "processes (1 = serial; budgets apply per chunk)",
+        "processes (1 = serial; budgets apply per chunk); --blocking "
+        "runs search their blocks serially",
     )
     match_parser.add_argument(
         "--blocking", action="store_true",

@@ -70,6 +70,27 @@ _HEURISTIC_METHODS = {
 }
 
 
+def check_blocking(method: str, blocking):
+    """``blocking`` as a :class:`~repro.blocking.BlockingConfig` or ``None``.
+
+    Raises ``ValueError`` when ``method`` cannot run blocked (only the
+    ``pattern-*`` methods can), and whatever
+    :func:`~repro.blocking.normalize_blocking` raises for a malformed
+    value.
+    """
+    # Deferred import: repro.blocking loads on first use, not with the
+    # facade.
+    from repro.blocking import normalize_blocking
+
+    config = normalize_blocking(blocking)
+    if config is not None and method not in _PATTERN_METHODS:
+        raise ValueError(
+            "blocking is only supported for the exact pattern methods "
+            f"{tuple(_PATTERN_METHODS)}, not {method!r}"
+        )
+    return config
+
+
 @dataclass(frozen=True)
 class MatchResult:
     """A matcher outcome annotated with method name and wall-clock time.
@@ -160,16 +181,16 @@ class EventMatcher:
         unblocked behaviour.  Blocked runs ignore ``warm_start`` and
         may report a non-zero ``gap`` without being ``degraded``: the
         gap then bounds the distance to the best block-respecting
-        mapping.  With ``workers > 1`` the ambiguous blocks fan out
-        over the warm worker pool as independent work-stealing chunks.
+        mapping.
 
         ``workers`` — run the exact ``pattern-*`` searches root-split
         over this many worker processes
         (:func:`repro.parallel.search.parallel_match`): same mapping and
         score, budgets applied per chunk.  ``workers=1`` (the default)
-        keeps the serial path byte-identical; other methods, and runs
-        with a ``warm_start`` (whose incumbent seeding needs the parent's
-        score model), ignore the setting and run serially.
+        keeps the serial path byte-identical; other methods, blocked
+        runs (whose blocks are searched serially), and runs with a
+        ``warm_start`` (whose incumbent seeding needs the parent's score
+        model) ignore the setting and run serially.
 
         ``node_budget``/``time_budget`` apply to the exact searches
         (``pattern-*`` and ``vertex-edge``).  Exceeding a budget returns
@@ -228,16 +249,7 @@ class EventMatcher:
         blocking=None,
     ) -> MatchResult:
         started = time.perf_counter()
-        # Deferred import: the blocking tier is only pulled in when a
-        # run opts in, keeping the default path untouched.
-        from repro.blocking import normalize_blocking
-
-        blocking_config = normalize_blocking(blocking)
-        if blocking_config is not None and method not in _PATTERN_METHODS:
-            raise ValueError(
-                "blocking is only supported for the exact pattern methods "
-                f"{tuple(_PATTERN_METHODS)}, not {method!r}"
-            )
+        blocking_config = check_blocking(method, blocking)
         if method in _PATTERN_METHODS:
             if blocking_config is not None:
                 from repro.blocking import tiered_match
@@ -254,7 +266,6 @@ class EventMatcher:
                     include_vertices=self.include_vertices,
                     include_edges=self.include_edges,
                     probe=probe,
-                    workers=workers,
                 )
                 if (
                     outcome.degraded

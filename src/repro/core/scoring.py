@@ -96,11 +96,6 @@ class ScoreModel:
         :func:`build_pattern_set`).
     bound:
         Which ``Δ(p, U)`` estimate :meth:`h` uses.
-    use_index:
-        Disable the ``I_t`` posting-list acceleration (ablation only).
-    use_kernel:
-        Disable the compiled frequency kernel, falling back to the naive
-        per-order candidate scan (ablation only).
     probe:
         Observability hooks shared by every consumer of this model (the
         exact search, the heuristics, both frequency evaluators and
@@ -127,8 +122,6 @@ class ScoreModel:
         log_2: EventLog,
         patterns: Sequence[Pattern],
         bound: BoundKind = BoundKind.TIGHT,
-        use_index: bool = True,
-        use_kernel: bool = True,
         probe: Probe | None = None,
         source_events: Sequence[Event] | None = None,
         target_events: Sequence[Event] | None = None,
@@ -145,16 +138,10 @@ class ScoreModel:
         self.graph_1 = graph_1 if graph_1 is not None else dependency_graph(log_1)
         self.graph_2 = graph_2 if graph_2 is not None else dependency_graph(log_2)
         self.evaluator_1 = evaluator_1 if evaluator_1 is not None else (
-            PatternFrequencyEvaluator(
-                log_1, use_index=use_index, use_kernel=use_kernel,
-                probe=self.probe,
-            )
+            PatternFrequencyEvaluator(log_1, probe=self.probe)
         )
         self.evaluator_2 = evaluator_2 if evaluator_2 is not None else (
-            PatternFrequencyEvaluator(
-                log_2, use_index=use_index, use_kernel=use_kernel,
-                probe=self.probe,
-            )
+            PatternFrequencyEvaluator(log_2, probe=self.probe)
         )
         self.index = PatternIndex(patterns)
         self.patterns: tuple[Pattern, ...] = self.index.patterns

@@ -50,7 +50,6 @@ def run_method(
     node_budget: int | None = None,
     time_budget: float | None = None,
     probe: Probe | None = None,
-    workers: int = 1,
     blocking=None,
 ) -> MethodRun:
     """Run one method on one task; budget overruns become DNF rows.
@@ -58,11 +57,6 @@ def run_method(
     ``probe`` threads observability hooks (a ``harness.run`` span plus
     everything the matcher reports) into the run; DNF rows still record
     the partial stats gathered before the budget tripped.
-
-    ``workers`` routes the exact ``pattern-*`` searches through the
-    root-split parallel matcher (budgets per shard; a run is DNF only
-    when some shard exhausted its budget).  ``workers=1`` is the serial
-    path, byte-identical to before the parameter existed.
     """
     if probe is None:
         probe = NULL_PROBE
@@ -80,8 +74,7 @@ def run_method(
         ):
             result = matcher.run(
                 method, node_budget=node_budget, time_budget=time_budget,
-                strict=True, probe=probe, workers=workers,
-                blocking=blocking,
+                strict=True, probe=probe, blocking=blocking,
             )
     except SearchBudgetExceeded as overrun:
         if probe.enabled:
@@ -119,36 +112,6 @@ def run_method(
     )
 
 
-def _parallel_grid(
-    task: MatchingTask,
-    axis: str,
-    values: Sequence[int],
-    methods: Sequence[str],
-    node_budget: int | None,
-    time_budget: float | None,
-    probe: Probe | None,
-    workers: int,
-    task_spec: "TaskSpec | None",
-) -> list[MethodRun]:
-    # Deferred import: repro.parallel.sweep imports run_method from this
-    # module inside its worker function, so a top-level import back into
-    # it would be circular.
-    from repro.parallel.sweep import TaskSpec, parallel_sweep
-
-    spec = task_spec if task_spec is not None else TaskSpec.from_task(task)
-    cells = [
-        ((axis, value), method) for value in values for method in methods
-    ]
-    return parallel_sweep(
-        spec,
-        cells,
-        workers=workers,
-        node_budget=node_budget,
-        time_budget=time_budget,
-        probe=probe,
-    )
-
-
 def sweep_events(
     task: MatchingTask,
     sizes: Sequence[int],
@@ -156,25 +119,12 @@ def sweep_events(
     node_budget: int | None = None,
     time_budget: float | None = None,
     probe: Probe | None = None,
-    workers: int = 1,
-    task_spec: "TaskSpec | None" = None,
 ) -> list[MethodRun]:
     """Vary the event-set size (the paper's Figures 7, 9, 12 x-axis).
 
     Each size projects both logs onto the first ``size`` events of
     ``log_1`` (and their ground-truth images in ``log_2``).
-
-    ``workers > 1`` fans the (size, method) grid over a process pool
-    (:func:`repro.parallel.sweep.parallel_sweep`), returning the same
-    runs in the same order; pass ``task_spec`` (a cheap picklable
-    recipe) to spare each worker one pickled copy of the full task.
-    ``workers=1`` keeps this serial loop untouched.
     """
-    if workers > 1:
-        return _parallel_grid(
-            task, "events", sizes, methods,
-            node_budget, time_budget, probe, workers, task_spec,
-        )
     runs = []
     for size in sizes:
         subtask = task.project_events(size)
@@ -198,19 +148,8 @@ def sweep_traces(
     node_budget: int | None = None,
     time_budget: float | None = None,
     probe: Probe | None = None,
-    workers: int = 1,
-    task_spec: "TaskSpec | None" = None,
 ) -> list[MethodRun]:
-    """Vary the trace count (the paper's Figures 8 and 10 x-axis).
-
-    ``workers``/``task_spec`` parallelize the grid exactly as in
-    :func:`sweep_events`.
-    """
-    if workers > 1:
-        return _parallel_grid(
-            task, "traces", counts, methods,
-            node_budget, time_budget, probe, workers, task_spec,
-        )
+    """Vary the trace count (the paper's Figures 8 and 10 x-axis)."""
     runs = []
     for count in counts:
         subtask = task.take_traces(count)

@@ -1,19 +1,13 @@
-"""repro.parallel — process-parallel execution layer.
+"""repro.parallel — process-parallel exact search.
 
-Two independent axes of parallelism over the NP-hard exact matcher
-(Theorem 1) and its evaluation grid:
-
-* :func:`~repro.parallel.search.parallel_match` — one search, many
-  processes: the A* root split with a shared anytime incumbent
-  (HDA*-style, Kishimoto et al.).
-* :func:`~repro.parallel.sweep.parallel_sweep` — many searches, many
-  processes: the evaluation harness's (task, matcher, budget) grid
-  fanned over a pool, portfolio-runner style.
-
-Both are reached through ``workers=N`` arguments on the existing entry
-points (:meth:`repro.EventMatcher.run`,
-:func:`repro.evaluation.harness.sweep_events`/``sweep_traces``, and the
-CLI's ``--workers``); ``N=1`` keeps the serial code paths untouched.
+:func:`~repro.parallel.search.parallel_match` runs one exact search
+(Theorem 1's NP-hard problem) over many processes: the A* root split
+with a shared anytime incumbent (HDA*-style, Kishimoto et al.).  It is
+reached through ``workers=N`` on :meth:`repro.EventMatcher.run`,
+:func:`repro.match` and the CLI's ``match --workers``; ``N=1`` keeps
+the serial code path untouched.  It is the only process fan-out inside
+matching: blocked runs search their blocks serially whatever
+``workers`` says.
 """
 
 from repro.parallel.pool import (
@@ -30,19 +24,16 @@ from repro.parallel.search import (
     parallel_match,
     partition_root_targets,
 )
-from repro.parallel.sweep import TaskSpec, parallel_sweep
 
 __all__ = [
     "SharedIncumbent",
     "ShardOutcome",
-    "TaskSpec",
     "WarmPool",
     "chunk_root_targets",
     "close_warm_pool",
     "current_warm_pool",
     "get_warm_pool",
     "parallel_match",
-    "parallel_sweep",
     "partition_root_targets",
     "warm_pool_stats",
 ]

@@ -23,15 +23,15 @@ one-time:
   per process lifetime, not once per call.
 * A lazily created, explicitly closeable module-level pool
   (:func:`get_warm_pool` / :func:`close_warm_pool`) survives across
-  ``match()`` / ``parallel_sweep`` calls and backs the service's
+  ``match()`` calls and backs the service's
   :class:`~repro.service.workers.WorkerPool`.  It is fork-safe: a
   process that inherits the singleton by forking discards it on first
   use instead of sharing the parent's executor.
 
 Runs that use the shared cells are serialized by :attr:`WarmPool.lock`
 — the cells are per-run state, and ``parallel_match`` resets them under
-that lock.  Plain :meth:`WarmPool.submit` fan-outs (sweeps, service
-jobs) don't touch the cells and need no lock.
+that lock.  Plain :meth:`WarmPool.submit` calls (service jobs) don't
+touch the cells and need no lock.
 """
 
 from __future__ import annotations

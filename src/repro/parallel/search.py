@@ -79,7 +79,6 @@ from repro.obs import telemetry
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.parallel.pool import (
     ModelHandle,
-    SharedIncumbent,
     WarmPool,
     current_warm_pool,
     get_warm_pool,
@@ -316,7 +315,6 @@ def parallel_match(
     strict: bool = False,
     include_vertices: bool = True,
     include_edges: bool = True,
-    reuse_pool: bool = True,
     probe: Probe | None = None,
 ) -> MatchOutcome:
     """Exact A* matching, root-split over ``workers`` processes.
@@ -330,10 +328,10 @@ def parallel_match(
     raises :class:`~repro.core.astar.SearchBudgetExceeded` instead,
     mirroring the serial matcher).
 
-    ``reuse_pool=True`` runs on the persistent module-level
-    :class:`~repro.parallel.pool.WarmPool` so worker processes and their
-    cached score models survive into the next call; ``reuse_pool=False``
-    spins up and tears down a private pool (cold).
+    Runs on the persistent module-level
+    :class:`~repro.parallel.pool.WarmPool`, so worker processes and their
+    cached score models survive into the next call; a cold run is
+    :func:`~repro.parallel.pool.close_warm_pool` followed by a call.
 
     Worker processes run with the null probe; the parent emits
     ``parallel.match`` spans, per-chunk metrics, steal counts, and
@@ -366,77 +364,65 @@ def parallel_match(
     chunks = chunk_root_targets(targets, effective)
     tasks = min(effective, len(chunks))
 
-    if reuse_pool:
-        reused = current_warm_pool() is not None
-        pool = get_warm_pool(effective)
-        reused = reused and current_warm_pool() is pool
-    else:
-        reused = False
-        pool = WarmPool(effective)
-    try:
-        handle = pool.handle_for(log_1, log_2, tuple(full_patterns), bound)
-        seed_score, seed_mapping = _warm_seed(
-            pool, handle, log_1, log_2, full_patterns, bound, order, targets
-        )
-        with probe.span(
-            "parallel.match", workers=effective, chunks=len(chunks)
-        ):
+    reused = current_warm_pool() is not None
+    pool = get_warm_pool(effective)
+    reused = reused and current_warm_pool() is pool
+    handle = pool.handle_for(log_1, log_2, tuple(full_patterns), bound)
+    seed_score, seed_mapping = _warm_seed(
+        pool, handle, log_1, log_2, full_patterns, bound, order, targets
+    )
+    with probe.span("parallel.match", workers=effective, chunks=len(chunks)):
+        if probe.enabled:
+            probe.on_parallel_run(effective, len(chunks))
+            probe.on_pool_event(reused, effective)
+        with pool.lock:
+            pool.begin_run(seed_score)
+            futures = [
+                pool.submit(
+                    _run_worker_shard,
+                    worker,
+                    tasks,
+                    handle,
+                    chunks,
+                    node_budget,
+                    time_budget,
+                    sync_interval,
+                    seed_score,
+                )
+                for worker in range(tasks)
+            ]
+            reports: list[WorkerReport] = []
+            try:
+                for future in futures:
+                    reports.append(future.result())
+            except BrokenProcessPool:
+                # A worker died mid-run (OOM kill, hard crash).  The
+                # pool is unusable; fall back to an in-process serial
+                # search so the caller still gets an exact answer.
+                pool.close()
+                model = ScoreModel(
+                    log_1, log_2, full_patterns, bound=bound, probe=probe
+                )
+                outcome = AStarMatcher(
+                    model,
+                    node_budget=node_budget,
+                    time_budget=time_budget,
+                    strict=strict,
+                ).match()
+                outcome.stats.extra["parallel_pool_broken"] = 1
+                return outcome
+        for report in reports:
             if probe.enabled:
-                probe.on_parallel_run(effective, len(chunks))
-                probe.on_pool_event(reused, effective)
-            with pool.lock:
-                pool.begin_run(seed_score)
-                futures = [
-                    pool.submit(
-                        _run_worker_shard,
-                        worker,
-                        tasks,
-                        handle,
-                        chunks,
-                        node_budget,
-                        time_budget,
-                        sync_interval,
-                        seed_score,
+                expanded = sum(o.stats.expanded_nodes for o in report.outcomes)
+                probe.on_shard_done(
+                    report.worker, report.elapsed_seconds, expanded
+                )
+                for outcome in report.outcomes:
+                    probe.on_chunk_done(
+                        outcome.worker, outcome.shard, outcome.stolen
                     )
-                    for worker in range(tasks)
-                ]
-                reports: list[WorkerReport] = []
-                try:
-                    for future in futures:
-                        reports.append(future.result())
-                except BrokenProcessPool:
-                    # A worker died mid-run (OOM kill, hard crash).  The
-                    # pool is unusable; fall back to an in-process serial
-                    # search so the caller still gets an exact answer.
-                    pool.close()
-                    model = ScoreModel(
-                        log_1, log_2, full_patterns, bound=bound, probe=probe
-                    )
-                    outcome = AStarMatcher(
-                        model,
-                        node_budget=node_budget,
-                        time_budget=time_budget,
-                        strict=strict,
-                    ).match()
-                    outcome.stats.extra["parallel_pool_broken"] = 1
-                    return outcome
-            for report in reports:
-                if probe.enabled:
-                    expanded = sum(
-                        o.stats.expanded_nodes for o in report.outcomes
-                    )
-                    probe.on_shard_done(
-                        report.worker, report.elapsed_seconds, expanded
-                    )
-                    for outcome in report.outcomes:
-                        probe.on_chunk_done(
-                            outcome.worker, outcome.shard, outcome.stolen
-                        )
-                        if outcome.stolen:
-                            probe.on_shard_steal(outcome.worker, outcome.shard)
-    finally:
-        if not reuse_pool:
-            pool.close()
+                    if outcome.stolen:
+                        probe.on_shard_steal(outcome.worker, outcome.shard)
     outcomes = [o for report in reports for o in report.outcomes]
     merged = _merge_chunks(
         outcomes, order, effective, strict, seed=(seed_score, seed_mapping)

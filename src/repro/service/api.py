@@ -50,15 +50,19 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from repro.core.matcher import METHODS, check_blocking
 from repro.log.csvio import read_csv
 from repro.log.errors import LogReadError
 from repro.obs.logs import bind, get_logger
 from repro.obs.profiler import profile_for
 from repro.obs.telemetry import new_trace_id, validate_trace_id
+from repro.patterns.index import validate_patterns
+from repro.patterns.parser import parse_pattern
 from repro.service.daemon import MatchingService
 from repro.service.jobs import DONE, FAILED, QueueFullError, UnknownJobError
 from repro.service.registry import UnknownLogError
@@ -274,10 +278,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             return self._json(201, entry.to_payload())
         if parts == ["jobs"]:
             options = self._body_json()
+            log_1 = options.pop("log_1")
+            log_2 = options.pop("log_2")
+            patterns = _job_patterns(
+                options.pop("patterns", []),
+                service.registry.get(log_1).alphabet(),
+            )
             job = service.submit_job(
-                options.pop("log_1"),
-                options.pop("log_2"),
-                patterns=tuple(options.pop("patterns", ())),
+                log_1,
+                log_2,
+                patterns=patterns,
                 trace_id=self._trace_id,
                 **_job_options(options),
             )
@@ -397,21 +407,62 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         return True
 
 
+def _job_patterns(patterns, alphabet) -> tuple[str, ...]:
+    """Check a job's pattern texts against ``log_1``'s alphabet (400s)."""
+    if not isinstance(patterns, list) or not all(
+        isinstance(text, str) for text in patterns
+    ):
+        raise ValueError("patterns must be a list of pattern strings")
+    try:
+        validate_patterns([parse_pattern(text) for text in patterns], alphabet)
+    except ValueError as error:
+        raise ValueError(f"patterns: {error}") from None
+    return tuple(patterns)
+
+
 def _job_options(options: dict) -> dict:
-    """Whitelist job options from an API payload (unknown keys are 400s)."""
+    """Check job options from an API payload; a bad one is a 400 naming it.
+
+    The values get the checks the matcher would apply when the job
+    runs, so a malformed recipe is refused at submit instead of failing
+    every retry in the worker.  ``deadline`` is checked by the queue.
+    """
     allowed = {
         "method",
         "node_budget",
         "time_budget",
         "strict",
         "degraded_fallback",
-        "workers",
         "blocking",
         "deadline",
     }
     unknown = set(options) - allowed
     if unknown:
         raise ValueError(f"unknown job options: {sorted(unknown)}")
+    method = options.get("method", "pattern-tight")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    for name, kind in (
+        ("node_budget", int),
+        ("time_budget", (int, float)),
+        ("degraded_fallback", (int, float)),
+    ):
+        value = options.get(name)
+        if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, kind)
+            or not 0 <= value < math.inf
+        ):
+            noun = "integer" if kind is int else "finite number"
+            raise ValueError(
+                f"{name} must be a non-negative {noun} or null, got {value!r}"
+            )
+    if not isinstance(options.get("strict", False), bool):
+        raise ValueError("strict must be true or false")
+    try:
+        check_blocking(method, options.get("blocking"))
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"blocking: {error}") from None
     return options
 
 

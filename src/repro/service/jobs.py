@@ -84,7 +84,6 @@ class MatchJob:
     time_budget: float | None = None
     strict: bool = False
     degraded_fallback: float | None = None
-    workers: int = 1
     #: Blocking-tier request: ``None``/``False`` off, ``True`` default
     #: knobs, or a :class:`~repro.blocking.BlockingConfig` field dict.
     blocking: dict | bool | None = None
@@ -121,7 +120,6 @@ class MatchJob:
             "time_budget": self.time_budget,
             "strict": self.strict,
             "degraded_fallback": self.degraded_fallback,
-            "workers": self.workers,
             "blocking": self.blocking,
             "state": self.state,
             "result": self.result,
@@ -135,6 +133,8 @@ class MatchJob:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "MatchJob":
+        # Keys this build does not know, such as the removed per-job
+        # ``workers`` option, are ignored, so older manifests still load.
         # A hand-edited or corrupt manifest must not wedge restore (or,
         # worse, smuggle a non-numeric deadline past submit-time
         # validation into the daemon loop): drop malformed deadlines.
@@ -152,7 +152,6 @@ class MatchJob:
             time_budget=payload.get("time_budget"),
             strict=payload.get("strict", False),
             degraded_fallback=payload.get("degraded_fallback"),
-            workers=payload.get("workers", 1),
             blocking=payload.get("blocking"),
             state=payload.get("state", QUEUED),
             result=payload.get("result"),
@@ -196,7 +195,6 @@ class JobQueue:
         time_budget: float | None = None,
         strict: bool = False,
         degraded_fallback: float | None = None,
-        workers: int = 1,
         blocking: dict | bool | None = None,
         deadline: float | None = None,
         trace_id: str | None = None,
@@ -231,7 +229,6 @@ class JobQueue:
                 time_budget=time_budget,
                 strict=strict,
                 degraded_fallback=degraded_fallback,
-                workers=workers,
                 blocking=blocking,
                 deadline=deadline,
                 trace_id=trace_id,
@@ -256,7 +253,6 @@ class JobQueue:
             time_budget=original.time_budget,
             strict=original.strict,
             degraded_fallback=original.degraded_fallback,
-            workers=original.workers,
             blocking=original.blocking,
             deadline=original.deadline,
         )

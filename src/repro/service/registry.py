@@ -6,8 +6,8 @@ as a canonical CSV under the service state directory and registered
 under a name.  The spool file is the source of truth, which buys three
 properties at once:
 
-* worker processes receive a :class:`~repro.parallel.sweep.TaskSpec`
-  file recipe (two paths + pattern texts) instead of pickled logs;
+* worker processes receive a file recipe (two spool paths + pattern
+  texts) instead of pickled logs;
 * a restart re-registers every log from its spool file — the manifest
   only records names and metadata;
 * two ingestion formats (CSV and XES) collapse into one internal form,

@@ -3,10 +3,9 @@
 A match job crosses the process boundary as a plain dict (spool paths,
 pattern texts, matcher options) and comes back as a plain dict (mapping,
 score, gap, search counters).  :func:`execute_match_job` is the
-module-level function both sides agree on — it rebuilds the task with
-:meth:`repro.parallel.sweep.TaskSpec.from_files` exactly as the sweep
-workers do, so the daemon inherits the same determinism guarantee: a
-job's result is a pure function of its recipe.
+module-level function both sides agree on — it reads the two spool CSVs
+and parses the pattern texts itself, so a job's result is a pure
+function of its recipe.
 
 :class:`WorkerPool` runs those recipes either **inline** (``processes=0``
 — synchronous, in-process; the deterministic mode used by tests, the CI
@@ -39,12 +38,15 @@ import traceback
 from concurrent.futures import wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.core.matcher import EventMatcher, MatchResult
+from repro.log.csvio import read_csv
+from repro.log.eventlog import EventLog
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.obs.telemetry import WorkerTelemetry, set_active_session
 from repro.parallel.pool import current_warm_pool, get_warm_pool
-from repro.parallel.sweep import TaskSpec
+from repro.patterns.parser import parse_pattern
 from repro.resilience.supervise import (
     OUTCOME_CRASH,
     OUTCOME_DEADLINE,
@@ -81,13 +83,19 @@ def job_payload(
         "time_budget": job.time_budget,
         "strict": job.strict,
         "degraded_fallback": job.degraded_fallback,
-        "workers": job.workers,
         "blocking": job.blocking,
         "deadline": deadline if deadline is not None else job.deadline,
     }
     if telemetry is not None:
         payload["telemetry"] = telemetry
     return payload
+
+
+def _read_spool(path: str) -> EventLog:
+    """One spool CSV (the registry spools every log as CSV)."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    return read_csv(path, name=Path(path).stem)
 
 
 def execute_match_job(payload: dict) -> dict:
@@ -110,16 +118,17 @@ def execute_match_job(payload: dict) -> dict:
             session = None  # an unwritable spool dir must not fail the job
     try:
         path_1, path_2 = payload["paths"]
-        spec = TaskSpec.from_files(path_1, path_2, patterns=payload["patterns"])
-        task = spec.build()
-        matcher = EventMatcher(task.log_1, task.log_2, patterns=task.patterns)
+        matcher = EventMatcher(
+            _read_spool(path_1),
+            _read_spool(path_2),
+            patterns=[parse_pattern(text) for text in payload["patterns"]],
+        )
         run_options = dict(
             method=payload.get("method", "pattern-tight"),
             node_budget=payload.get("node_budget"),
             time_budget=payload.get("time_budget"),
             strict=payload.get("strict", False),
             degraded_fallback=payload.get("degraded_fallback"),
-            workers=payload.get("workers", 1),
             blocking=payload.get("blocking"),
         )
         if session is not None:
@@ -240,8 +249,8 @@ class WorkerPool:
             try:
                 result = execute_match_job(payload)
                 outcome = JobOutcome(job_id, OUTCOME_OK, result=result)
-            # SystemExit included: file loaders exit on missing paths,
-            # and an inline job must never take the daemon down with it.
+            # SystemExit included: an inline job must never take the
+            # daemon down with it.
             except (Exception, SystemExit) as error:  # noqa: BLE001
                 outcome = JobOutcome(
                     job_id, OUTCOME_ERROR, error=_describe(error)

@@ -31,14 +31,13 @@ Commits are absorbed *lazily*: the commit hook itself only counts the
 trace as pending (the wrapped log's own O(|trace|) statistics update is
 the only per-commit work), and the pending backlog is absorbed in one
 pass at the next read — so a burst of N commits between two drift checks
-pays one index/kernel refresh instead of N.  Absorption is *adaptive*:
-the state keeps measured per-trace costs of its two ways of catching up,
-incremental replay (O(pending)) and a from-scratch rebuild (O(backlog)),
-and falls back to the rebuild when ``pending × incremental-cost`` is
-projected to exceed the rebuild cost — the regime after a restore
-back-fill or a very large batch, where replaying commit-by-commit loses
-to one tight batch pass.  Both paths reconstruct pure functions of the
-committed traces, so the choice can never change any answer.
+pays one index/kernel refresh instead of N.  An absorb catches up by
+incremental replay (O(pending)), or by a from-scratch rebuild
+(O(backlog)) exactly when nothing absorbed is left to reuse
+(``pending >= total``, the restore back-fill case), where one tight
+batch pass beats replaying commit by commit.  Both paths reconstruct
+pure functions of the committed traces, so the choice can never change
+any answer, and it depends only on the two counts, never on timing.
 
 Self-healing: constructed with ``check_every=N``, the state runs cheap
 O(alphabet) invariant spot-checks every ``N``-th commit.  A failed spot
@@ -53,7 +52,6 @@ escalation, divergence and rebuild is counted in
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable
 
 from repro.graph.dependency import dependency_graph
@@ -125,10 +123,8 @@ class DeltaState:
         #: Absorption passes run (each covers the whole pending backlog).
         self.absorbs = 0
         #: Absorptions that chose a from-scratch rebuild over incremental
-        #: replay because the measured cost model favored it.
+        #: replay because every committed trace was pending.
         self.adaptive_rebuilds = 0
-        #: Measured per-trace seconds of each catch-up path, EMA-smoothed.
-        self._cost_per_trace: dict[str, float] = {}
         self.track(patterns)
         stream.subscribe(self._on_commit)
 
@@ -150,23 +146,23 @@ class DeltaState:
     def _absorb(self) -> None:
         """Catch the derived state up with the pending commits.
 
-        Chooses incremental replay (refresh the index/kernel, scan only
-        the pending traces through the deep automata) or a from-scratch
-        rebuild, whichever the measured per-trace costs project to be
-        cheaper.  Either way the result is a pure function of the
-        committed traces, so reads after an absorb are identical no
-        matter which path ran.
+        Rebuilds from scratch when every committed trace is pending
+        (replaying everything and rebuilding everything are the same
+        work, but the rebuild runs in tight batch loops), and otherwise
+        replays incrementally: refresh the index/kernel and scan only
+        the pending traces through the deep automata.  Either way the
+        result is a pure function of the committed traces, so reads
+        after an absorb are identical no matter which path ran.
         """
         pending = self._pending
         if not pending:
             return
         total = len(self._log)
         self.absorbs += 1
-        if self._prefer_rebuild(pending, total):
+        if pending >= total:
             self.adaptive_rebuilds += 1
             self._rebuild_structures()
             return
-        started = time.perf_counter()
         self._kernel.refresh()
         if self._deep:
             counts = self._counts
@@ -177,26 +173,6 @@ class DeltaState:
                     if event_set <= alphabet and automaton.matches(events):
                         counts[pattern] += 1
         self._pending = 0
-        self._note_cost(
-            "incremental", (time.perf_counter() - started) / pending
-        )
-
-    def _prefer_rebuild(self, pending: int, total: int) -> bool:
-        incremental = self._cost_per_trace.get("incremental")
-        rebuild = self._cost_per_trace.get("rebuild")
-        if incremental is not None and rebuild is not None:
-            return pending * incremental > total * rebuild
-        # No measurements yet: replaying everything and rebuilding
-        # everything are the same work, but the rebuild runs in tight
-        # batch loops — the restore-back-fill case.
-        return pending >= total
-
-    def _note_cost(self, path: str, seconds_per_trace: float) -> None:
-        previous = self._cost_per_trace.get(path)
-        if previous is None:
-            self._cost_per_trace[path] = seconds_per_trace
-        else:
-            self._cost_per_trace[path] = 0.5 * previous + 0.5 * seconds_per_trace
 
     def track(self, patterns: Iterable[Pattern]) -> tuple[Pattern, ...]:
         """Start tracking additional patterns; returns the new ones.
@@ -468,7 +444,6 @@ class DeltaState:
         self.recovery.rebuilds += 1
 
     def _rebuild_structures(self) -> None:
-        started = time.perf_counter()
         self._trace_index = TraceIndex(self._log)
         self._kernel = FrequencyKernel(
             self._log, trace_index=self._trace_index
@@ -478,8 +453,3 @@ class DeltaState:
                 self._orders[pattern]
             )
         self._pending = 0
-        total = len(self._log)
-        if total:
-            self._note_cost(
-                "rebuild", (time.perf_counter() - started) / total
-            )

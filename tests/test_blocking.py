@@ -24,6 +24,7 @@ from repro.evaluation.harness import run_method
 from repro.log.eventlog import EventLog
 from repro.obs.probe import ObservabilityProbe
 from repro.obs.report import format_observability_report
+from repro.parallel import close_warm_pool, current_warm_pool
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +222,9 @@ class TestTieredMatch:
         assert sum(tiers.values()) > 0
 
     def test_parallel_blocked_is_identical(self, gate_task):
+        # Blocked runs search their blocks serially whatever ``workers``
+        # says: same answer, and no worker pool is started.
+        close_warm_pool()
         config = {"auto_accept": False}
         serial = match(
             gate_task.log_1, gate_task.log_2, patterns=gate_task.patterns,
@@ -230,6 +234,7 @@ class TestTieredMatch:
             gate_task.log_1, gate_task.log_2, patterns=gate_task.patterns,
             method="pattern-tight", blocking=config, workers=2,
         )
+        assert current_warm_pool() is None
         assert fanned.mapping.as_dict() == serial.mapping.as_dict()
         assert fanned.score == pytest.approx(serial.score)
         assert fanned.gap == pytest.approx(serial.gap)

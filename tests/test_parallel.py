@@ -1,4 +1,4 @@
-"""Tests for repro.parallel — root-split search and sweep fan-out.
+"""Tests for repro.parallel — the root-split parallel search.
 
 The load-bearing property is determinism-equivalence: the root-split
 parallel matcher must return exactly the serial matcher's mapping,
@@ -8,7 +8,6 @@ the result).
 """
 
 import os
-import pickle
 
 import pytest
 
@@ -18,13 +17,10 @@ from repro.core.matcher import EventMatcher
 from repro.core.scoring import ScoreModel, build_pattern_set
 from repro.datagen import generate_reallike, generate_synthetic
 from repro.datagen.random_logs import generate_random_pair
-from repro.evaluation.harness import sweep_events, sweep_traces
 from repro.log.eventlog import EventLog
 from repro.parallel import (
     SharedIncumbent,
-    TaskSpec,
     parallel_match,
-    parallel_sweep,
     partition_root_targets,
 )
 
@@ -196,68 +192,6 @@ class TestMatcherFacadeWorkers:
         assert "parallel_workers" not in warm.stats.extra
 
 
-class TestTaskSpec:
-    def test_specs_pickle_and_rebuild_deterministically(self):
-        spec = TaskSpec.reallike(num_traces=20, seed=4)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
-        task_a, task_b = spec.build(), clone.build()
-        assert task_a.log_1.traces == task_b.log_1.traces
-        assert task_a.log_2.traces == task_b.log_2.traces
-
-    def test_from_files_roundtrip(self, tmp_path):
-        from repro.log.csvio import write_csv
-
-        task = generate_random_pair(num_events=4, num_traces=20, seed=9)
-        path_1 = tmp_path / "one.csv"
-        path_2 = tmp_path / "two.csv"
-        write_csv(task.log_1, path_1)
-        write_csv(task.log_2, path_2)
-        spec = TaskSpec.from_files(str(path_1), str(path_2), name="pair")
-        rebuilt = spec.build()
-        assert rebuilt.name == "pair"
-        assert rebuilt.log_1.alphabet() == task.log_1.alphabet()
-
-    def test_inline_fallback(self):
-        task = generate_random_pair(num_events=4, num_traces=20, seed=9)
-        assert TaskSpec.from_task(task).build() is task
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TaskSpec(kind="nonsense").build()
-
-
-class TestParallelSweep:
-    def test_grid_matches_serial_harness_in_order(self):
-        task = generate_reallike(num_traces=25, seed=11)
-        sizes, methods = [4, 6], ["pattern-tight", "heuristic-advanced"]
-        serial = sweep_events(task, sizes, methods)
-        par = sweep_events(task, sizes, methods, workers=3)
-        assert [
-            (r.method, r.num_events, round(r.score, 9)) for r in serial
-        ] == [(r.method, r.num_events, round(r.score, 9)) for r in par]
-
-    def test_trace_sweep_with_spec_recipe(self):
-        task = generate_random_pair(num_events=4, num_traces=25, seed=11)
-        spec = TaskSpec.random_pair(num_events=4, num_traces=25, seed=11)
-        serial = sweep_traces(task, [10, 25], ["pattern-tight"])
-        par = sweep_traces(
-            task, [10, 25], ["pattern-tight"], workers=2, task_spec=spec
-        )
-        assert [(r.num_traces, round(r.score, 9)) for r in serial] == [
-            (r.num_traces, round(r.score, 9)) for r in par
-        ]
-
-    def test_direct_cells_api(self):
-        spec = TaskSpec.random_pair(num_events=4, num_traces=30, seed=2)
-        cells = [(None, "heuristic-simple"), (("events", 3), "pattern-tight")]
-        runs = parallel_sweep(spec, cells, workers=2)
-        assert [r.method for r in runs] == [
-            "heuristic-simple", "pattern-tight"
-        ]
-        assert runs[1].num_events == 3
-
-
 class TestCliWorkers:
     def test_match_accepts_workers_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -339,9 +273,10 @@ class TestWarmPoolReuse:
 
         task = seed_tasks[0]
         serial = serial_outcome(task)
+        # A cold run is a call on a freshly closed pool.
+        close_warm_pool()
         cold = parallel_match(
-            task.log_1, task.log_2, task.patterns,
-            workers=2, reuse_pool=False,
+            task.log_1, task.log_2, task.patterns, workers=2
         )
         close_warm_pool()
         warm_1 = parallel_match(
@@ -361,22 +296,6 @@ class TestWarmPoolReuse:
         assert warm_2.stats.extra["parallel_model_cache_hits"] >= 1
         stats = warm_pool_stats()
         assert stats["live"] and stats["reuses"] >= 1
-        close_warm_pool()
-
-    def test_sweep_reuses_pool_across_calls(self):
-        from repro.parallel import close_warm_pool, current_warm_pool
-
-        close_warm_pool()
-        spec = TaskSpec.random_pair(num_events=4, num_traces=30, seed=2)
-        cells = [(None, "heuristic-simple"), (("events", 3), "pattern-tight")]
-        first = parallel_sweep(spec, cells, workers=2)
-        pool = current_warm_pool()
-        assert pool is not None
-        second = parallel_sweep(spec, cells, workers=2)
-        assert current_warm_pool() is pool
-        assert [round(r.score, 9) for r in first] == [
-            round(r.score, 9) for r in second
-        ]
         close_warm_pool()
 
 

@@ -3,8 +3,8 @@
 The warm pool's contract is that reuse is invisible except in latency:
 warm runs return the same results as cold runs, a model handle names
 exactly one live log pair (appends and concurrent callers get fresh
-keys), and the bounded caches (handles, models, sweep memos) evict
-instead of growing.
+keys), and the bounded caches (handles, models) evict instead of
+growing.
 """
 
 import pickle
@@ -176,62 +176,3 @@ class TestModelCache:
             assert hit and cached is model
         finally:
             _MODEL_CACHE.pop(handle.key)
-
-
-# ----------------------------------------------------------------------
-# Sweep memos (worker-side state, exercised in-process)
-# ----------------------------------------------------------------------
-
-
-class TestSweepMemo:
-    def test_base_memo_bounded_with_eviction_counter(self):
-        from repro.parallel.sweep import (
-            BASE_MEMO_CAP,
-            TaskSpec,
-            _SWEEP_MEMO,
-            _run_cell,
-            sweep_memo_stats,
-        )
-
-        _SWEEP_MEMO.clear()
-        _SWEEP_MEMO.evictions = 0
-        for i in range(BASE_MEMO_CAP + 2):
-            spec = TaskSpec.random_pair(
-                num_events=3, num_traces=5, seed=200 + i
-            )
-            index, run = _run_cell(
-                f"memo-{i}", spec, i, None, "heuristic-simple", None, None
-            )
-            assert index == i and run.score >= 0.0
-        stats = sweep_memo_stats()
-        assert stats["base_entries"] == BASE_MEMO_CAP
-        assert stats["base_evictions"] == 2
-
-    def test_projection_memo_bounded(self):
-        from repro.parallel.sweep import (
-            PROJECTION_MEMO_CAP,
-            TaskSpec,
-            _SWEEP_MEMO,
-            _transformed_task,
-        )
-
-        _SWEEP_MEMO.clear()
-        spec = TaskSpec.random_pair(num_events=6, num_traces=8, seed=9)
-        for n in range(2, PROJECTION_MEMO_CAP + 4):
-            task = _transformed_task("proj", spec, ("events", n))
-            assert len(task.log_1.alphabet()) <= n
-        entry = _SWEEP_MEMO.get("proj")
-        assert len(entry["projections"]) == PROJECTION_MEMO_CAP
-        assert entry["projections"].evictions == 2
-
-    def test_inline_specs_with_same_name_get_distinct_tokens(self):
-        from repro.parallel.sweep import TaskSpec, _spec_token
-
-        task_a = generate_random_pair(num_events=3, num_traces=5, seed=1)
-        task_b = generate_random_pair(num_events=3, num_traces=5, seed=2)
-        object.__setattr__(task_b, "name", task_a.name)
-        spec_a = TaskSpec.from_task(task_a)
-        spec_b = TaskSpec.from_task(task_b)
-        assert spec_a == spec_b  # equality ignores the inline task...
-        assert _spec_token(spec_a) != _spec_token(spec_b)  # ...tokens don't
-        assert _spec_token(spec_a) == _spec_token(spec_a)

@@ -50,7 +50,7 @@ from repro.service import (
     UnknownJobError,
     UnknownLogError,
 )
-from repro.parallel import close_warm_pool
+from repro.parallel import close_warm_pool, current_warm_pool
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobQueue
 from repro.service.workers import WorkerPool
 
@@ -152,11 +152,11 @@ class TestJobQueue:
 
     def test_rematch_clones_the_recipe(self):
         queue = JobQueue()
-        job = queue.submit("a", "b", method="heuristic-simple", workers=3)
+        job = queue.submit("a", "b", method="heuristic-simple", node_budget=3)
         clone = queue.rematch(job.job_id)
         assert clone.job_id != job.job_id
         assert clone.method == "heuristic-simple"
-        assert clone.workers == 3
+        assert clone.node_budget == 3
         assert clone.state == QUEUED
 
     def test_restore_requeues_interrupted_jobs(self):
@@ -331,6 +331,44 @@ class TestHTTPAPI:
                 {"log_1": "left", "log_2": "right", "bogus_option": 1},
             )
         assert excinfo.value.code == 400
+
+    @pytest.fixture(scope="class")
+    def registered(self, tmp_path_factory):
+        """One served service with both logs, shared by read-only cases."""
+        service = make_service(tmp_path_factory.mktemp("registered"))
+        service.registry.register("left", LEFT)
+        service.registry.register("right", RIGHT)
+        api = ServiceAPI(service).start()
+        yield service, api
+        api.stop()
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"method": "bogus"},
+            {"node_budget": "ten"},
+            {"workers": "2"},
+            {"workers": 2},
+            {"blocking": {"frequency_gap": "x"}},
+            {"method": "heuristic-simple", "blocking": True},
+            {"patterns": ["SEQ(A"]},
+            {"patterns": "SEQ(A, B)"},
+            {"patterns": ["SEQ(A, Q)"]},
+            {"strict": "no"},
+        ],
+    )
+    def test_malformed_recipe_is_refused_at_submit(self, registered, options):
+        service, api = registered
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(
+                api, "/jobs", {"log_1": "left", "log_2": "right", **options}
+            )
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert any(field in error for field in options), error
+        service.run_until_idle()
+        assert len(service.jobs) == 0
+        assert service.quarantine.total_seen == 0
 
     def test_shutdown_saves_state_and_signals(self, served):
         service, api = served
@@ -534,6 +572,32 @@ class TestSaveAndResume:
         )
         fresh.run_until_idle()
         assert fresh.jobs.get(interrupted.job_id).state == DONE
+
+    def test_manifest_job_with_workers_runs_serially(self, tmp_path):
+        """A stored job's ``workers`` key is ignored: no pool is started."""
+        close_warm_pool()
+        service = make_service(tmp_path)
+        service.registry.register("left", LEFT)
+        service.registry.register("right", RIGHT)
+        job = service.submit_job("left", "right", patterns=PATTERNS)
+        service.save_state()
+        document = json.loads(service.manifest_path.read_text())
+        [stored] = document["jobs"]["jobs"]
+        stored["workers"] = 2
+        service.manifest_path.write_text(json.dumps(document))
+
+        fresh = make_service(tmp_path)
+        assert fresh.resume()["jobs_requeued"] == 1
+        fresh.run_until_idle()
+        done = fresh.jobs.get(job.job_id)
+        assert done.state == DONE
+        expected = direct_result()
+        assert done.result["score"] == pytest.approx(expected.score)
+        assert done.result["mapping"] == {
+            str(source): str(target)
+            for source, target in expected.mapping.as_dict().items()
+        }
+        assert current_warm_pool() is None
 
     def test_spool_survives_manifest_loss(self, tmp_path):
         """SIGKILL before any manifest save must not orphan spooled logs."""
