@@ -34,6 +34,7 @@ import time
 import pytest
 
 from benchmarks.conftest import bench_scale, record_bench, save_report
+from repro.core.matcher import MatchOptions
 from repro.datagen import generate_reallike
 from repro.evaluation.harness import run_method
 from repro.log.csvio import write_csv
@@ -204,11 +205,7 @@ def telemetry_tax(scale, tmp_path_factory):
     payload = {
         "paths": (str(root / "l1.csv"), str(root / "l2.csv")),
         "patterns": [str(p) for p in task.patterns],
-        "method": "pattern-tight",
-        "node_budget": budget,
-        "time_budget": None,
-        "strict": False,
-        "degraded_fallback": None,
+        "options": MatchOptions("pattern-tight", node_budget=budget),
         "deadline": None,
     }
     telemetry = {

@@ -17,7 +17,7 @@ Run:  python examples/erp_integration.py
 import tempfile
 from pathlib import Path
 
-from repro import EventMatcher
+from repro import EventMatcher, MatchOptions
 from repro.datagen import generate_reallike
 from repro.evaluation.metrics import evaluate_mapping
 from repro.graph.dependency import dependency_graph
@@ -60,14 +60,16 @@ def main() -> None:
         "iterative",
         "entropy",
     ):
-        result = matcher.run(method, node_budget=500_000, time_budget=120.0)
+        result = matcher.run(
+            MatchOptions(method, node_budget=500_000, time_budget=120.0)
+        )
         quality = evaluate_mapping(result.mapping, task.truth)
         print(
             f"{method:20s} {quality.f_measure:6.3f} {quality.precision:6.3f} "
             f"{quality.recall:6.3f} {result.elapsed_seconds:8.2f}s"
         )
 
-    best = matcher.run("pattern-tight", node_budget=500_000)
+    best = matcher.run(MatchOptions("pattern-tight", node_budget=500_000))
     print("\nRecovered correspondence (pattern-tight):")
     for source, target in sorted(best.mapping.as_dict().items()):
         marker = "" if task.truth[source] == target else "   <-- WRONG"

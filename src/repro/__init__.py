@@ -20,7 +20,9 @@ Quickstart::
 
 from repro.core.bounds import BoundKind
 from repro.core.mapping import Mapping
-from repro.core.matcher import METHODS, EventMatcher, MatchResult, match
+from repro.core.matcher import (
+    METHODS, EventMatcher, MatchOptions, MatchResult, match,
+)
 from repro.log.eventlog import EventLog
 from repro.log.events import Event, Trace
 from repro.patterns.ast import AND, SEQ, EventPattern, Pattern, and_, event, seq
@@ -37,6 +39,7 @@ __all__ = [
     "EventPattern",
     "METHODS",
     "Mapping",
+    "MatchOptions",
     "MatchResult",
     "Pattern",
     "SEQ",

@@ -57,6 +57,7 @@ from repro.core.astar import AStarMatcher
 from repro.core.bounds import BoundKind
 from repro.core.distance import frequency_similarity
 from repro.core.mapping import Mapping
+from repro.core.matcher import HEURISTIC_BOUND
 from repro.core.result import MatchOutcome
 from repro.core.scoring import ScoreModel, build_pattern_set
 from repro.core.stats import SearchStats
@@ -64,10 +65,6 @@ from repro.log.events import Event
 from repro.log.eventlog import EventLog
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.patterns.ast import Pattern
-
-#: Heuristic-escalated blocks score augmentations with the cheaper
-#: heuristic bound, mirroring the facade's heuristic methods.
-_HEURISTIC_BOUND = BoundKind.TIGHT_FAST
 
 #: Stats fields that :meth:`ScoreModel.collect_frequency_evaluations`
 #: *sets* from cumulative evaluator/kernel counters.  Per-block models
@@ -118,7 +115,7 @@ def _search_tier(
     if use_heuristic:
         from repro.core.heuristic import AdvancedHeuristicMatcher
 
-        model = parent.restricted(sources, targets, bound=_HEURISTIC_BOUND)
+        model = parent.restricted(sources, targets, bound=HEURISTIC_BOUND)
         outcome = AdvancedHeuristicMatcher(model).match()
     else:
         model = parent.restricted(sources, targets, bound=bound)

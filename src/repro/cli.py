@@ -39,7 +39,7 @@ import sys
 from pathlib import Path
 
 from repro import __version__
-from repro.core.matcher import METHODS, EventMatcher
+from repro.core.matcher import METHODS, EventMatcher, MatchOptions
 from repro.evaluation.explain import explain_mapping, format_explanation
 from repro.evaluation.reporting import (
     format_observability_report,
@@ -169,21 +169,23 @@ def _blocking_from_args(args: argparse.Namespace) -> dict | None:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
+    try:
+        options = MatchOptions(
+            args.method,
+            node_budget=args.node_budget,
+            time_budget=args.time_budget,
+            strict=args.strict,
+            degraded_fallback=args.degraded_fallback,
+            blocking=_blocking_from_args(args),
+        )
+    except ValueError as error:
+        args.parser.error(str(error))
     log_1 = load_log(args.log1)
     log_2 = load_log(args.log2)
     patterns = [parse_pattern(text) for text in args.pattern]
     probe, finalize_obs = _build_probe(args)
     matcher = EventMatcher(log_1, log_2, patterns=patterns)
-    result = matcher.run(
-        args.method,
-        node_budget=args.node_budget,
-        time_budget=args.time_budget,
-        strict=args.strict,
-        degraded_fallback=args.degraded_fallback,
-        probe=probe,
-        workers=args.workers,
-        blocking=_blocking_from_args(args),
-    )
+    result = matcher.run(options, probe=probe, workers=args.workers)
     degraded_text = (
         f" DEGRADED gap<={result.gap:.4f}" if result.degraded else ""
     )
@@ -250,19 +252,22 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             validator=validator,
             quarantine=quarantine,
         )
-        engine = OnlineMatcher(
-            reference,
-            stream,
-            patterns=patterns,
-            drift_threshold=args.drift_threshold,
-            exact_cutoff=args.exact_cutoff,
-            node_budget=args.node_budget,
-            time_budget=args.time_budget,
-            min_traces=args.min_traces,
-            check_every=args.check_every,
-            probe=probe,
-            blocking=args.blocking or None,
-        )
+        try:
+            engine = OnlineMatcher(
+                reference,
+                stream,
+                patterns=patterns,
+                drift_threshold=args.drift_threshold,
+                exact_cutoff=args.exact_cutoff,
+                node_budget=args.node_budget,
+                time_budget=args.time_budget,
+                min_traces=args.min_traces,
+                check_every=args.check_every,
+                probe=probe,
+                blocking=args.blocking,
+            )
+        except ValueError as error:
+            args.parser.error(str(error))
 
     # Replay the feed as live traffic: every event goes through the
     # per-case open/append/close lifecycle, and the engine re-evaluates
@@ -546,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     match_parser.add_argument("--explain-limit", type=int, default=None)
     _add_observability_options(match_parser)
-    match_parser.set_defaults(handler=_cmd_match)
+    match_parser.set_defaults(handler=_cmd_match, parser=match_parser)
 
     stream_parser = commands.add_parser(
         "stream",
@@ -611,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", metavar="FILE", help="save the final mapping as JSON"
     )
     _add_observability_options(stream_parser)
-    stream_parser.set_defaults(handler=_cmd_stream)
+    stream_parser.set_defaults(handler=_cmd_stream, parser=stream_parser)
 
     discover_parser = commands.add_parser(
         "discover", help="mine discriminative SEQ/AND patterns from a log"

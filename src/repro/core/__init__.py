@@ -3,7 +3,8 @@
 Public entry points:
 
 * :func:`~repro.core.matcher.match` / :class:`~repro.core.matcher.EventMatcher`
-  — one-call facade over all methods;
+  — one-call facade over all methods, driven by one validated
+  :class:`~repro.core.matcher.MatchOptions` recipe;
 * :class:`~repro.core.astar.AStarMatcher` — exact optimal matching
   (Algorithm 1) with pluggable bounds;
 * :class:`~repro.core.heuristic.SimpleHeuristicMatcher` and
@@ -21,7 +22,7 @@ from repro.core.distance import (
 )
 from repro.core.heuristic import AdvancedHeuristicMatcher, SimpleHeuristicMatcher
 from repro.core.mapping import Mapping
-from repro.core.matcher import EventMatcher, MatchResult, match
+from repro.core.matcher import EventMatcher, MatchOptions, MatchResult, match
 from repro.core.stats import SearchStats
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "BoundKind",
     "EventMatcher",
     "Mapping",
+    "MatchOptions",
     "MatchResult",
     "SearchStats",
     "SimpleHeuristicMatcher",

@@ -9,6 +9,9 @@
                    method="pattern-tight")
     print(result.mapping, result.score)
 
+Its keyword options are the fields of :class:`MatchOptions`, the
+validated recipe that :meth:`EventMatcher.run` takes.
+
 Method names follow the paper's figures:
 
 ==================  =====================================================
@@ -25,9 +28,11 @@ Method names follow the paper's figures:
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Mapping as MappingABC, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 from repro.baselines.entropy import EntropyMatcher
 from repro.baselines.iterative import IterativeMatcher
@@ -48,6 +53,9 @@ from repro.core.stats import SearchStats
 from repro.log.eventlog import EventLog
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.patterns.ast import Pattern
+
+if TYPE_CHECKING:
+    from repro.blocking import BlockingConfig
 
 METHODS = (
     "pattern-tight",
@@ -70,25 +78,103 @@ _HEURISTIC_METHODS = {
 }
 
 
-def check_blocking(method: str, blocking):
-    """``blocking`` as a :class:`~repro.blocking.BlockingConfig` or ``None``.
+#: Score-model bound of the heuristic methods, the degraded-result
+#: rescue and the blocking tier's heuristic-escalated blocks.
+HEURISTIC_BOUND = BoundKind.TIGHT_FAST
 
-    Raises ``ValueError`` when ``method`` cannot run blocked (only the
-    ``pattern-*`` methods can), and whatever
-    :func:`~repro.blocking.normalize_blocking` raises for a malformed
-    value.
+
+def check_number(name: str, value, kind=(int, float), least=0) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite,
+    non-bool ``kind`` instance no smaller than ``least``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or not least <= value < math.inf
+    ):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{name} must be {noun} >= {least}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class MatchOptions:
+    """The recipe of one matching run, validated once at construction.
+
+    ``method`` is one of :data:`METHODS`.  ``node_budget``/``time_budget``
+    apply to the exact searches (``pattern-*`` and ``vertex-edge``).
+    Exceeding a budget returns the search's best incumbent complete
+    mapping flagged ``degraded=True`` with an optimality-gap bound in
+    ``gap``; ``strict=True`` restores the historical
+    :class:`~repro.core.astar.SearchBudgetExceeded` instead.
+
+    ``degraded_fallback`` — when a ``pattern-*`` search degrades with a
+    gap *larger* than this threshold, the facade re-runs
+    ``heuristic-advanced`` warm-started from the degraded mapping and
+    keeps whichever mapping scores higher (still flagged degraded, with
+    the gap tightened by any improvement).
+
+    ``blocking`` — run the multi-signal blocking tier ahead of the exact
+    search (:mod:`repro.blocking`): partition the two vocabularies into
+    candidate blocks, auto-accept unambiguous 1:1 blocks, search only
+    inside ambiguous ones, and compose one injective mapping rescored
+    against the full logs.  Accepts ``True`` (default knobs), a
+    :class:`~repro.blocking.BlockingConfig`, or a dict of its fields,
+    and holds the normalized config (``None`` when off); only the
+    ``pattern-*`` methods support it.  Blocked runs ignore
+    ``warm_start`` and may report a non-zero ``gap`` without being
+    ``degraded``: the gap then bounds the distance to the best
+    block-respecting mapping.
+
+    A bad field raises ``ValueError`` naming it.  :meth:`to_dict` /
+    :meth:`from_dict` are the JSON form service jobs persist.
     """
-    # Deferred import: repro.blocking loads on first use, not with the
-    # facade.
-    from repro.blocking import normalize_blocking
 
-    config = normalize_blocking(blocking)
-    if config is not None and method not in _PATTERN_METHODS:
-        raise ValueError(
-            "blocking is only supported for the exact pattern methods "
-            f"{tuple(_PATTERN_METHODS)}, not {method!r}"
-        )
-    return config
+    method: str = "pattern-tight"
+    node_budget: int | None = None
+    time_budget: float | None = None
+    strict: bool = False
+    degraded_fallback: float | None = None
+    blocking: BlockingConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(
+                f"method must be one of {METHODS}, got {self.method!r}"
+            )
+        for name, kind in (
+            ("node_budget", int),
+            ("time_budget", (int, float)),
+            ("degraded_fallback", (int, float)),
+        ):
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name), kind)
+        if not isinstance(self.strict, bool):
+            raise ValueError(f"strict must be a bool, got {self.strict!r}")
+        blocking = None
+        if self.blocking is not None and self.blocking is not False:
+            # Deferred import: repro.blocking loads on first use, not
+            # with the facade.
+            from repro.blocking import normalize_blocking
+
+            try:
+                blocking = normalize_blocking(self.blocking)
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"blocking: {error}") from None
+            if self.method not in _PATTERN_METHODS:
+                raise ValueError(
+                    "blocking is only supported for the exact pattern "
+                    f"methods {tuple(_PATTERN_METHODS)}, not {self.method!r}"
+                )
+        object.__setattr__(self, "blocking", blocking)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "MatchOptions":
+        unknown = set(payload) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown match options: {sorted(unknown)}")
+        return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -108,20 +194,6 @@ class MatchResult:
     elapsed_seconds: float
     degraded: bool = False
     gap: float = 0.0
-
-    @classmethod
-    def from_outcome(
-        cls, method: str, outcome: MatchOutcome, elapsed_seconds: float
-    ) -> "MatchResult":
-        return cls(
-            method=method,
-            mapping=outcome.mapping,
-            score=outcome.score,
-            stats=outcome.stats,
-            elapsed_seconds=elapsed_seconds,
-            degraded=outcome.degraded,
-            gap=outcome.gap,
-        )
 
 
 class EventMatcher:
@@ -156,32 +228,15 @@ class EventMatcher:
 
     def run(
         self,
-        method: str = "pattern-tight",
-        node_budget: int | None = None,
-        time_budget: float | None = None,
-        heuristic_bound: BoundKind = BoundKind.TIGHT_FAST,
+        options: MatchOptions = MatchOptions(),
+        *,
         warm_start: MappingABC[Event, Event] | None = None,
-        strict: bool = False,
-        degraded_fallback: float | None = None,
         probe: Probe | None = None,
         workers: int = 1,
-        blocking=None,
     ) -> MatchResult:
-        """Run ``method`` and return its annotated result.
+        """Run the recipe ``options`` and return its annotated result.
 
-        ``blocking`` — run the multi-signal blocking tier ahead of the
-        exact search (:mod:`repro.blocking`): partition the two
-        vocabularies into candidate blocks, auto-accept unambiguous 1:1
-        blocks, search only inside ambiguous ones, and compose one
-        injective mapping rescored against the full logs.  Accepts
-        ``True`` (default knobs), a
-        :class:`~repro.blocking.BlockingConfig`, or a dict of its
-        fields; only the ``pattern-*`` methods support it.  The default
-        ``None``/``False`` keeps every method bit-identical to the
-        unblocked behaviour.  Blocked runs ignore ``warm_start`` and
-        may report a non-zero ``gap`` without being ``degraded``: the
-        gap then bounds the distance to the best block-respecting
-        mapping.
+        The keyword arguments are runtime inputs, not part of the recipe.
 
         ``workers`` — run the exact ``pattern-*`` searches root-split
         over this many worker processes
@@ -191,19 +246,6 @@ class EventMatcher:
         runs (whose blocks are searched serially), and runs with a
         ``warm_start`` (whose incumbent seeding needs the parent's score
         model) ignore the setting and run serially.
-
-        ``node_budget``/``time_budget`` apply to the exact searches
-        (``pattern-*`` and ``vertex-edge``).  Exceeding a budget returns
-        the search's best incumbent complete mapping flagged
-        ``degraded=True`` with an optimality-gap bound in ``gap``;
-        ``strict=True`` restores the historical
-        :class:`~repro.core.astar.SearchBudgetExceeded` instead.
-
-        ``degraded_fallback`` — when a ``pattern-*`` search degrades with
-        a gap *larger* than this threshold, the facade re-runs
-        ``heuristic-advanced`` warm-started from the degraded mapping and
-        keeps whichever mapping scores higher (still flagged degraded,
-        with the gap tightened by any improvement).
 
         ``warm_start`` — typically the previous mapping in an online
         setting — seeds the revision phase of ``heuristic-advanced`` and
@@ -221,128 +263,37 @@ class EventMatcher:
         if probe is None:
             probe = NULL_PROBE
         if not probe.enabled:
-            return self._run(
-                method, node_budget, time_budget, heuristic_bound,
-                warm_start, strict, degraded_fallback, probe, workers,
-                blocking,
-            )
-        with probe.span("match.run", method=method):
-            result = self._run(
-                method, node_budget, time_budget, heuristic_bound,
-                warm_start, strict, degraded_fallback, probe, workers,
-                blocking,
-            )
+            return self._run(options, warm_start, probe, workers)
+        with probe.span("match.run", method=options.method):
+            result = self._run(options, warm_start, probe, workers)
         probe.record_search_stats(result.stats)
         return result
 
     def _run(
         self,
-        method: str,
-        node_budget: int | None,
-        time_budget: float | None,
-        heuristic_bound: BoundKind,
+        options: MatchOptions,
         warm_start: MappingABC[Event, Event] | None,
-        strict: bool,
-        degraded_fallback: float | None,
         probe: Probe,
-        workers: int = 1,
-        blocking=None,
+        workers: int,
     ) -> MatchResult:
         started = time.perf_counter()
-        blocking_config = check_blocking(method, blocking)
+        method = options.method
         if method in _PATTERN_METHODS:
-            if blocking_config is not None:
-                from repro.blocking import tiered_match
-
-                outcome = tiered_match(
-                    self.log_1,
-                    self.log_2,
-                    self.complex_patterns,
-                    bound=_PATTERN_METHODS[method],
-                    config=blocking_config,
-                    node_budget=node_budget,
-                    time_budget=time_budget,
-                    strict=strict,
-                    include_vertices=self.include_vertices,
-                    include_edges=self.include_edges,
-                    probe=probe,
-                )
-                if (
-                    outcome.degraded
-                    and degraded_fallback is not None
-                    and outcome.gap > degraded_fallback
-                ):
-                    outcome, method = self._heuristic_rescue(
-                        outcome, heuristic_bound, method, probe
-                    )
-                elapsed = time.perf_counter() - started
-                return MatchResult.from_outcome(method, outcome, elapsed)
-            if workers > 1 and warm_start is None:
-                # Deferred import: the parallel layer is only pulled in
-                # when a run actually asks for it.
-                from repro.parallel.search import parallel_match
-
-                outcome = parallel_match(
-                    self.log_1,
-                    self.log_2,
-                    self.complex_patterns,
-                    bound=_PATTERN_METHODS[method],
-                    workers=workers,
-                    node_budget=node_budget,
-                    time_budget=time_budget,
-                    strict=strict,
-                    include_vertices=self.include_vertices,
-                    include_edges=self.include_edges,
-                    probe=probe,
-                )
-                if (
-                    outcome.degraded
-                    and degraded_fallback is not None
-                    and outcome.gap > degraded_fallback
-                ):
-                    outcome, method = self._heuristic_rescue(
-                        outcome, heuristic_bound, method, probe
-                    )
-                elapsed = time.perf_counter() - started
-                return MatchResult.from_outcome(method, outcome, elapsed)
-            model = ScoreModel(
-                self.log_1,
-                self.log_2,
-                self.full_pattern_set(),
-                bound=_PATTERN_METHODS[method],
-                probe=probe,
-            )
-            incumbent = None
-            warm = sanitize_warm_start(
-                warm_start, model.source_events, model.target_events
-            )
-            if warm is not None:
-                # g of a valid partial mapping is achievable by any of its
-                # completions (contributions are non-negative), hence a
-                # sound incumbent for strictly-below pruning.
-                incumbent = model.g(warm)
-            outcome = AStarMatcher(
-                model,
-                node_budget=node_budget,
-                time_budget=time_budget,
-                incumbent_score=incumbent,
-                incumbent_mapping=warm,
-                strict=strict,
-            ).match()
+            outcome = self._exact_search(options, warm_start, probe, workers)
             if (
                 outcome.degraded
-                and degraded_fallback is not None
-                and outcome.gap > degraded_fallback
+                and options.degraded_fallback is not None
+                and outcome.gap > options.degraded_fallback
             ):
                 outcome, method = self._heuristic_rescue(
-                    outcome, heuristic_bound, method, probe
+                    outcome, method, probe
                 )
         elif method in _HEURISTIC_METHODS:
             model = ScoreModel(
                 self.log_1,
                 self.log_2,
                 self.full_pattern_set(),
-                bound=heuristic_bound,
+                bound=HEURISTIC_BOUND,
                 probe=probe,
             )
             matcher_class = _HEURISTIC_METHODS[method]
@@ -358,27 +309,89 @@ class EventMatcher:
             outcome = VertexEdgeMatcher(
                 self.log_1,
                 self.log_2,
-                node_budget=node_budget,
-                time_budget=time_budget,
-                strict=strict,
+                node_budget=options.node_budget,
+                time_budget=options.time_budget,
+                strict=options.strict,
             ).match()
         elif method == "iterative":
             outcome = IterativeMatcher(self.log_1, self.log_2).match()
-        elif method == "entropy":
-            outcome = EntropyMatcher(self.log_1, self.log_2).match()
         else:
-            raise ValueError(
-                f"unknown method {method!r}; choose one of {METHODS}"
-            )
+            outcome = EntropyMatcher(self.log_1, self.log_2).match()
         elapsed = time.perf_counter() - started
-        return MatchResult.from_outcome(method, outcome, elapsed)
+        return MatchResult(
+            method, outcome.mapping, outcome.score, outcome.stats, elapsed,
+            degraded=outcome.degraded, gap=outcome.gap,
+        )
+
+    def _exact_search(
+        self,
+        options: MatchOptions,
+        warm_start: MappingABC[Event, Event] | None,
+        probe: Probe,
+        workers: int,
+    ) -> MatchOutcome:
+        """The blocked, root-split or serial exact ``pattern-*`` search."""
+        bound = _PATTERN_METHODS[options.method]
+        budgets = dict(
+            node_budget=options.node_budget,
+            time_budget=options.time_budget,
+            strict=options.strict,
+        )
+        if options.blocking is not None:
+            from repro.blocking import tiered_match
+
+            return tiered_match(
+                self.log_1,
+                self.log_2,
+                self.complex_patterns,
+                bound=bound,
+                config=options.blocking,
+                include_vertices=self.include_vertices,
+                include_edges=self.include_edges,
+                probe=probe,
+                **budgets,
+            )
+        if workers > 1 and warm_start is None:
+            # Deferred import: the parallel layer is only pulled in
+            # when a run actually asks for it.
+            from repro.parallel.search import parallel_match
+
+            return parallel_match(
+                self.log_1,
+                self.log_2,
+                self.complex_patterns,
+                bound=bound,
+                workers=workers,
+                include_vertices=self.include_vertices,
+                include_edges=self.include_edges,
+                probe=probe,
+                **budgets,
+            )
+        model = ScoreModel(
+            self.log_1,
+            self.log_2,
+            self.full_pattern_set(),
+            bound=bound,
+            probe=probe,
+        )
+        incumbent = None
+        warm = sanitize_warm_start(
+            warm_start, model.source_events, model.target_events
+        )
+        if warm is not None:
+            # g of a valid partial mapping is achievable by any of its
+            # completions (contributions are non-negative), hence a
+            # sound incumbent for strictly-below pruning.
+            incumbent = model.g(warm)
+        return AStarMatcher(
+            model,
+            incumbent_score=incumbent,
+            incumbent_mapping=warm,
+            **budgets,
+        ).match()
 
     def _heuristic_rescue(
-        self,
-        degraded: MatchOutcome,
-        heuristic_bound: BoundKind,
-        method: str,
-        probe: Probe = NULL_PROBE,
+        self, degraded: MatchOutcome, method: str, probe: Probe
     ) -> tuple[MatchOutcome, str]:
         """Try to beat a wide-gap degraded result with the heuristic.
 
@@ -393,7 +406,7 @@ class EventMatcher:
             self.log_1,
             self.log_2,
             self.full_pattern_set(),
-            bound=heuristic_bound,
+            bound=HEURISTIC_BOUND,
             probe=probe,
         )
         rescue = AdvancedHeuristicMatcher(
@@ -417,26 +430,19 @@ def match(
     log_1: EventLog,
     log_2: EventLog,
     patterns: Sequence[Pattern] = (),
-    method: str = "pattern-tight",
-    node_budget: int | None = None,
-    time_budget: float | None = None,
+    *,
     warm_start: MappingABC[Event, Event] | None = None,
-    strict: bool = False,
-    degraded_fallback: float | None = None,
     probe: Probe | None = None,
     workers: int = 1,
-    blocking=None,
+    **options,
 ) -> MatchResult:
-    """One-call event matching between two logs (see module docstring)."""
-    matcher = EventMatcher(log_1, log_2, patterns=patterns)
-    return matcher.run(
-        method,
-        node_budget=node_budget,
-        time_budget=time_budget,
+    """One-call event matching between two logs (see module docstring).
+
+    ``options`` are the :class:`MatchOptions` fields.
+    """
+    return EventMatcher(log_1, log_2, patterns=patterns).run(
+        MatchOptions(**options),
         warm_start=warm_start,
-        strict=strict,
-        degraded_fallback=degraded_fallback,
         probe=probe,
         workers=workers,
-        blocking=blocking,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.astar import SearchBudgetExceeded
 from repro.core.mapping import Mapping
-from repro.core.matcher import EventMatcher
+from repro.core.matcher import EventMatcher, MatchOptions
 from repro.core.stats import SearchStats
 from repro.datagen.task import MatchingTask
 from repro.evaluation.metrics import MatchQuality, evaluate_mapping
@@ -47,35 +47,34 @@ class MethodRun:
 def run_method(
     task: MatchingTask,
     method: str,
-    node_budget: int | None = None,
-    time_budget: float | None = None,
+    *,
     probe: Probe | None = None,
-    blocking=None,
+    **options,
 ) -> MethodRun:
     """Run one method on one task; budget overruns become DNF rows.
 
-    ``probe`` threads observability hooks (a ``harness.run`` span plus
-    everything the matcher reports) into the run; DNF rows still record
-    the partial stats gathered before the budget tripped.
+    ``options`` are further :class:`~repro.core.matcher.MatchOptions`
+    fields (budgets, ``blocking``).  ``probe`` threads observability
+    hooks (a ``harness.run`` span plus everything the matcher reports)
+    into the run; DNF rows still record the partial stats gathered
+    before the budget tripped.
     """
+    # Strict: the paper's figures report budget overruns as DNF rows,
+    # not as anytime incumbents — keep those rows honest.
+    recipe = MatchOptions(method, strict=True, **options)
     if probe is None:
         probe = NULL_PROBE
     matcher = EventMatcher(task.log_1, task.log_2, patterns=task.patterns)
     num_events = len(task.log_1.alphabet())
     num_traces = len(task.log_1)
     try:
-        # Strict: the paper's figures report budget overruns as DNF rows,
-        # not as anytime incumbents — keep those rows honest.
         with probe.span(
             "harness.run",
             task=task.name,
             method=method,
             num_events=num_events,
         ):
-            result = matcher.run(
-                method, node_budget=node_budget, time_budget=time_budget,
-                strict=True, probe=probe, blocking=blocking,
-            )
+            result = matcher.run(recipe, probe=probe)
     except SearchBudgetExceeded as overrun:
         if probe.enabled:
             probe.record_search_stats(overrun.stats)
@@ -125,20 +124,11 @@ def sweep_events(
     Each size projects both logs onto the first ``size`` events of
     ``log_1`` (and their ground-truth images in ``log_2``).
     """
-    runs = []
-    for size in sizes:
-        subtask = task.project_events(size)
-        for method in methods:
-            runs.append(
-                run_method(
-                    subtask,
-                    method,
-                    node_budget=node_budget,
-                    time_budget=time_budget,
-                    probe=probe,
-                )
-            )
-    return runs
+    subtasks = (task.project_events(size) for size in sizes)
+    return _sweep(
+        subtasks, methods, probe,
+        node_budget=node_budget, time_budget=time_budget,
+    )
 
 
 def sweep_traces(
@@ -150,17 +140,16 @@ def sweep_traces(
     probe: Probe | None = None,
 ) -> list[MethodRun]:
     """Vary the trace count (the paper's Figures 8 and 10 x-axis)."""
-    runs = []
-    for count in counts:
-        subtask = task.take_traces(count)
-        for method in methods:
-            runs.append(
-                run_method(
-                    subtask,
-                    method,
-                    node_budget=node_budget,
-                    time_budget=time_budget,
-                    probe=probe,
-                )
-            )
-    return runs
+    subtasks = (task.take_traces(count) for count in counts)
+    return _sweep(
+        subtasks, methods, probe,
+        node_budget=node_budget, time_budget=time_budget,
+    )
+
+
+def _sweep(subtasks, methods, probe, **options) -> list[MethodRun]:
+    return [
+        run_method(subtask, method, probe=probe, **options)
+        for subtask in subtasks
+        for method in methods
+    ]

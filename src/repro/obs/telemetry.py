@@ -421,7 +421,7 @@ class TelemetryHub:
                 "job_id": job.job_id,
                 "trace_id": getattr(job, "trace_id", None),
                 "attempt": job.attempts,
-                "method": job.method,
+                "method": job.options.method,
             },
         }
 

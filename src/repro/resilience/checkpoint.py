@@ -87,6 +87,11 @@ def load_checkpoint(path: str | Path):
             f"checkpoint version {version!r} is not supported "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
-    engine = OnlineMatcher.restore(document["state"])
+    try:
+        engine = OnlineMatcher.restore(document["state"])
+    except ValueError as error:
+        # A configuration the engine refuses (older builds accepted
+        # e.g. a non-numeric budget) is a bad file, not a crash.
+        raise CheckpointError(f"invalid checkpoint {path}: {error}") from None
     engine.checkpoint_sequence = document.get("sequence", 0)
     return engine

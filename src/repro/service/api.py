@@ -48,14 +48,14 @@ work without killing the process.
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
-import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.core.matcher import METHODS, check_blocking
+from repro.core.matcher import MatchOptions
 from repro.log.csvio import read_csv
 from repro.log.errors import LogReadError
 from repro.obs.logs import bind, get_logger
@@ -67,10 +67,18 @@ from repro.service.daemon import MatchingService
 from repro.service.jobs import DONE, FAILED, QueueFullError, UnknownJobError
 from repro.service.registry import UnknownLogError
 from repro.service.sessions import UnknownSessionError
+from repro.stream.engine import OnlineMatcher
 
 logger = get_logger("service.api")
 
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd uploads before reading them
+
+#: ``POST /sessions`` body keys besides ``name``, ``reference`` and
+#: ``patterns``: the engine's configuration parameters and ``validate``.
+_SESSION_OPTIONS = (
+    set(inspect.signature(OnlineMatcher).parameters)
+    - {"reference", "stream", "patterns", "probe"}
+) | {"validate"}
 
 
 class ServiceAPI:
@@ -284,12 +292,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 options.pop("patterns", []),
                 service.registry.get(log_1).alphabet(),
             )
+            deadline = options.pop("deadline", None)
             job = service.submit_job(
                 log_1,
                 log_2,
                 patterns=patterns,
+                options=MatchOptions.from_dict(options),
+                deadline=deadline,
                 trace_id=self._trace_id,
-                **_job_options(options),
             )
             return self._json(202, job.to_payload())
         if parts == ["debug", "profile"]:
@@ -314,11 +324,18 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if parts == ["sessions"]:
             options = self._body_json()
             name = options.pop("name")
+            reference = options.pop("reference")
+            patterns = _job_patterns(
+                options.pop("patterns", []),
+                service.registry.get(reference).alphabet(),
+            )
+            unknown = set(options) - _SESSION_OPTIONS
+            if unknown:
+                raise ValueError(f"unknown session options: {sorted(unknown)}")
+            if not isinstance(options.get("validate", True), bool):
+                raise ValueError("validate must be true or false")
             service.sessions.create(
-                name,
-                options.pop("reference"),
-                patterns=tuple(options.pop("patterns", ())),
-                **options,
+                name, reference, patterns=patterns, **options
             )
             return self._json(201, service.sessions.status(name))
         if len(parts) == 3 and parts[0] == "sessions" and parts[2] == "traces":
@@ -418,52 +435,6 @@ def _job_patterns(patterns, alphabet) -> tuple[str, ...]:
     except ValueError as error:
         raise ValueError(f"patterns: {error}") from None
     return tuple(patterns)
-
-
-def _job_options(options: dict) -> dict:
-    """Check job options from an API payload; a bad one is a 400 naming it.
-
-    The values get the checks the matcher would apply when the job
-    runs, so a malformed recipe is refused at submit instead of failing
-    every retry in the worker.  ``deadline`` is checked by the queue.
-    """
-    allowed = {
-        "method",
-        "node_budget",
-        "time_budget",
-        "strict",
-        "degraded_fallback",
-        "blocking",
-        "deadline",
-    }
-    unknown = set(options) - allowed
-    if unknown:
-        raise ValueError(f"unknown job options: {sorted(unknown)}")
-    method = options.get("method", "pattern-tight")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    for name, kind in (
-        ("node_budget", int),
-        ("time_budget", (int, float)),
-        ("degraded_fallback", (int, float)),
-    ):
-        value = options.get(name)
-        if value is not None and (
-            isinstance(value, bool)
-            or not isinstance(value, kind)
-            or not 0 <= value < math.inf
-        ):
-            noun = "integer" if kind is int else "finite number"
-            raise ValueError(
-                f"{name} must be a non-negative {noun} or null, got {value!r}"
-            )
-    if not isinstance(options.get("strict", False), bool):
-        raise ValueError("strict must be true or false")
-    try:
-        check_blocking(method, options.get("blocking"))
-    except (TypeError, ValueError) as error:
-        raise ValueError(f"blocking: {error}") from None
-    return options
 
 
 def _route_label(verb: str, parts: list[str]) -> str:

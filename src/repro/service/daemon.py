@@ -288,7 +288,10 @@ class MatchingService:
             with bind(trace_id=job.trace_id, job_id=job.job_id):
                 logger.info(
                     "dispatching job attempt",
-                    extra={"attempt": job.attempts, "method": job.method},
+                    extra={
+                        "attempt": job.attempts,
+                        "method": job.options.method,
+                    },
                 )
             self.pool.submit(job.job_id, payload)
             dispatched.append(job.job_id)
@@ -387,7 +390,7 @@ class MatchingService:
                 events=(
                     f"log_1={job.log_1}",
                     f"log_2={job.log_2}",
-                    f"method={job.method}",
+                    f"method={job.options.method}",
                     f"worker_deaths={job.worker_deaths}",
                 ),
                 source="service",

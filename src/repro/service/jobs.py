@@ -1,7 +1,8 @@
 """Match jobs: the unit of work the daemon schedules.
 
 A :class:`MatchJob` is a *recipe*, not a computation — two registered
-log names, pattern texts, and matcher options.  Log names resolve to
+log names, pattern texts, and one
+:class:`~repro.core.matcher.MatchOptions`.  Log names resolve to
 spool paths at dispatch time, so a job survives the daemon restarting
 (it lives in the manifest as plain JSON) and always matches the current
 registration of its logs.
@@ -37,6 +38,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 
+from repro.core.matcher import MatchOptions
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.obs.telemetry import new_trace_id, validate_trace_id
 from repro.resilience.supervise import validate_deadline
@@ -79,14 +81,9 @@ class MatchJob:
     log_1: str
     log_2: str
     patterns: tuple[str, ...] = ()
-    method: str = "pattern-tight"
-    node_budget: int | None = None
-    time_budget: float | None = None
-    strict: bool = False
-    degraded_fallback: float | None = None
-    #: Blocking-tier request: ``None``/``False`` off, ``True`` default
-    #: knobs, or a :class:`~repro.blocking.BlockingConfig` field dict.
-    blocking: dict | bool | None = None
+    #: The matching recipe.  A manifest recipe this build refuses is
+    #: kept as its raw dict on a FAILED job: it round-trips, never runs.
+    options: MatchOptions | dict = MatchOptions()
     state: str = QUEUED
     result: dict | None = None
     error: str | None = None
@@ -115,12 +112,11 @@ class MatchJob:
             "log_1": self.log_1,
             "log_2": self.log_2,
             "patterns": list(self.patterns),
-            "method": self.method,
-            "node_budget": self.node_budget,
-            "time_budget": self.time_budget,
-            "strict": self.strict,
-            "degraded_fallback": self.degraded_fallback,
-            "blocking": self.blocking,
+            **(
+                self.options.to_dict()
+                if isinstance(self.options, MatchOptions)
+                else self.options
+            ),
             "state": self.state,
             "result": self.result,
             "error": self.error,
@@ -142,20 +138,26 @@ class MatchJob:
             deadline = validate_deadline(payload.get("deadline"))
         except ValueError:
             deadline = None
+        known = MatchOptions.__dataclass_fields__.keys() & payload.keys()
+        recipe = {key: payload[key] for key in known}
+        state = payload.get("state", QUEUED)
+        error = payload.get("error")
+        try:
+            options = MatchOptions.from_dict(recipe)
+        except ValueError as invalid:
+            # Older builds queued recipes this one refuses (an unknown
+            # method, a non-numeric budget): fail the job, keep resuming.
+            options, state = recipe, FAILED
+            error = f"invalid recipe: {invalid}"
         return cls(
             job_id=payload["job_id"],
             log_1=payload["log_1"],
             log_2=payload["log_2"],
             patterns=tuple(payload.get("patterns", ())),
-            method=payload.get("method", "pattern-tight"),
-            node_budget=payload.get("node_budget"),
-            time_budget=payload.get("time_budget"),
-            strict=payload.get("strict", False),
-            degraded_fallback=payload.get("degraded_fallback"),
-            blocking=payload.get("blocking"),
-            state=payload.get("state", QUEUED),
+            options=options,
+            state=state,
             result=payload.get("result"),
-            error=payload.get("error"),
+            error=error,
             elapsed_seconds=payload.get("elapsed_seconds", 0.0),
             trace_id=validate_trace_id(payload.get("trace_id")),
             deadline=deadline,
@@ -190,12 +192,7 @@ class JobQueue:
         log_1: str,
         log_2: str,
         patterns=(),
-        method: str = "pattern-tight",
-        node_budget: int | None = None,
-        time_budget: float | None = None,
-        strict: bool = False,
-        degraded_fallback: float | None = None,
-        blocking: dict | bool | None = None,
+        options: MatchOptions = MatchOptions(),
         deadline: float | None = None,
         trace_id: str | None = None,
         enforce_bound: bool = True,
@@ -224,12 +221,7 @@ class JobQueue:
                 log_1=log_1,
                 log_2=log_2,
                 patterns=tuple(patterns),
-                method=method,
-                node_budget=node_budget,
-                time_budget=time_budget,
-                strict=strict,
-                degraded_fallback=degraded_fallback,
-                blocking=blocking,
+                options=options,
                 deadline=deadline,
                 trace_id=trace_id,
             )
@@ -237,23 +229,20 @@ class JobQueue:
             self._order.append(job.job_id)
             depth = self._depth_locked()
         if self._probe.enabled:
-            self._probe.on_job_submitted(method)
+            self._probe.on_job_submitted(options.method)
             self._probe.on_queue_depth(depth)
         return job
 
     def rematch(self, job_id: str) -> MatchJob:
         """Queue a fresh job with the same recipe as ``job_id``."""
         original = self.get(job_id)
+        if not isinstance(original.options, MatchOptions):
+            raise ValueError(f"cannot re-run {job_id}: {original.error}")
         return self.submit(
             original.log_1,
             original.log_2,
             patterns=original.patterns,
-            method=original.method,
-            node_budget=original.node_budget,
-            time_budget=original.time_budget,
-            strict=original.strict,
-            degraded_fallback=original.degraded_fallback,
-            blocking=original.blocking,
+            options=original.options,
             deadline=original.deadline,
         )
 
@@ -341,7 +330,7 @@ class JobQueue:
             job.result = result
             job.error = error
             job.elapsed_seconds = elapsed
-            method = job.method
+            method = job.options.method
             depth = self._depth_locked()
         if self._probe.enabled:
             self._probe.on_job_finished(method, state, elapsed)

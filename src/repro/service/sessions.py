@@ -60,8 +60,6 @@ class SessionManager:
         name: str,
         reference: str,
         patterns=(),
-        drift_threshold: float = 0.05,
-        min_traces: int = 1,
         validate: bool = True,
         **engine_options,
     ) -> OnlineMatcher:
@@ -89,8 +87,6 @@ class SessionManager:
             reference_log,
             stream,
             patterns=parsed,
-            drift_threshold=drift_threshold,
-            min_traces=min_traces,
             probe=self._probe if self._probe.enabled else None,
             **engine_options,
         )

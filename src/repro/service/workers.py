@@ -1,11 +1,11 @@
 """Job execution: the picklable recipe boundary and the supervised pool.
 
 A match job crosses the process boundary as a plain dict (spool paths,
-pattern texts, matcher options) and comes back as a plain dict (mapping,
-score, gap, search counters).  :func:`execute_match_job` is the
-module-level function both sides agree on — it reads the two spool CSVs
-and parses the pattern texts itself, so a job's result is a pure
-function of its recipe.
+pattern texts, the job's :class:`~repro.core.matcher.MatchOptions`) and
+comes back as a plain dict (mapping, score, gap, search counters).
+:func:`execute_match_job` is the module-level function both sides agree
+on — it reads the two spool CSVs and parses the pattern texts itself,
+so a job's result is a pure function of its recipe.
 
 :class:`WorkerPool` runs those recipes either **inline** (``processes=0``
 — synchronous, in-process; the deterministic mode used by tests, the CI
@@ -78,12 +78,7 @@ def job_payload(
     payload = {
         "paths": (str(path_1), str(path_2)),
         "patterns": list(job.patterns),
-        "method": job.method,
-        "node_budget": job.node_budget,
-        "time_budget": job.time_budget,
-        "strict": job.strict,
-        "degraded_fallback": job.degraded_fallback,
-        "blocking": job.blocking,
+        "options": job.options,
         "deadline": deadline if deadline is not None else job.deadline,
     }
     if telemetry is not None:
@@ -123,17 +118,10 @@ def execute_match_job(payload: dict) -> dict:
             _read_spool(path_2),
             patterns=[parse_pattern(text) for text in payload["patterns"]],
         )
-        run_options = dict(
-            method=payload.get("method", "pattern-tight"),
-            node_budget=payload.get("node_budget"),
-            time_budget=payload.get("time_budget"),
-            strict=payload.get("strict", False),
-            degraded_fallback=payload.get("degraded_fallback"),
-            blocking=payload.get("blocking"),
+        result = matcher.run(
+            payload["options"],
+            probe=session.probe if session is not None else None,
         )
-        if session is not None:
-            run_options["probe"] = session.probe
-        result = matcher.run(**run_options)
     except BaseException:
         # Close the spool so the merged trace shows where the attempt
         # died (SIGKILL skips this, but the per-span flush already left

@@ -28,10 +28,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
-from repro.blocking import normalize_blocking
 from repro.core.distance import frequency_similarity
 from repro.core.mapping import Mapping
-from repro.core.matcher import EventMatcher
+from repro.core.matcher import EventMatcher, MatchOptions, check_number
 from repro.core.scoring import build_pattern_set
 from repro.log.events import Trace
 from repro.log.eventlog import EventLog
@@ -44,6 +43,9 @@ from repro.resilience.recovery import RecoveryStats
 from repro.resilience.validation import TraceValidator
 from repro.stream.deltas import DeltaState
 from repro.stream.ingest import StreamingLog
+
+#: Recipe of the re-matches above the engine's ``exact_cutoff``.
+_HEURISTIC_REMATCH = MatchOptions("heuristic-advanced")
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,10 @@ class OnlineMatcher:
         :class:`~repro.blocking.BlockingConfig` or its dict form.
         Applies only to the exact branch (heuristic re-matches ignore
         it); the normalized knobs are checkpointed and restored.
+
+    The budgets, ``degraded_gap_threshold`` and ``blocking`` form
+    :attr:`options`, the exact re-match's recipe.  A bad parameter
+    raises ``ValueError`` naming it.
     """
 
     def __init__(
@@ -134,21 +140,26 @@ class OnlineMatcher:
         probe: Probe | None = None,
         blocking=None,
     ):
-        if drift_threshold < 0:
-            raise ValueError("drift_threshold must be non-negative")
+        check_number("drift_threshold", drift_threshold)
+        check_number("exact_cutoff", exact_cutoff, int)
+        check_number("min_traces", min_traces, int)
+        if check_every is not None:
+            check_number("check_every", check_every, int, least=1)
+        #: Recipe of the exact re-match (checkpointed under ``config``).
+        self.options = MatchOptions(
+            "pattern-tight",
+            node_budget=node_budget,
+            time_budget=time_budget,
+            degraded_fallback=degraded_gap_threshold,
+            blocking=blocking,
+        )
         self.reference = reference
         self.stream = stream
         self.complex_patterns = tuple(patterns)
         self.drift_threshold = drift_threshold
         self.exact_cutoff = exact_cutoff
-        self.node_budget = node_budget
-        self.time_budget = time_budget
         self.min_traces = min_traces
-        self.degraded_gap_threshold = degraded_gap_threshold
         self.check_every = check_every
-        # Normalized once here so checkpoints carry the explicit knob
-        # dict and restore() round-trips through this same coercion.
-        self.blocking = normalize_blocking(blocking)
 
         self._pattern_set = tuple(
             build_pattern_set(reference, complex_patterns=patterns)
@@ -297,26 +308,15 @@ class OnlineMatcher:
         with self._probe.span(
             "stream.rematch", reason=reason, num_traces=num_traces
         ):
-            if exact:
-                # Anytime semantics: a budget overrun yields the search's
-                # best incumbent (degraded, with a gap bound); the facade
-                # falls back to the warm-started heuristic when the gap is
-                # wider than the configured threshold.
-                result = matcher.run(
-                    "pattern-tight",
-                    warm_start=previous,
-                    node_budget=self.node_budget,
-                    time_budget=self.time_budget,
-                    degraded_fallback=self.degraded_gap_threshold,
-                    probe=self._probe,
-                    blocking=self.blocking,
-                )
-            else:
-                result = matcher.run(
-                    "heuristic-advanced",
-                    warm_start=previous,
-                    probe=self._probe,
-                )
+            # Anytime semantics: a budget overrun of the exact re-match
+            # yields the search's best incumbent (degraded, with a gap
+            # bound); the facade falls back to the warm-started heuristic
+            # when the gap is wider than the configured threshold.
+            result = matcher.run(
+                self.options if exact else _HEURISTIC_REMATCH,
+                warm_start=previous,
+                probe=self._probe,
+            )
 
         self._mapping = result.mapping
         self._known_targets = self.stream.log.alphabet()
@@ -375,16 +375,12 @@ class OnlineMatcher:
             "config": {
                 "drift_threshold": self.drift_threshold,
                 "exact_cutoff": self.exact_cutoff,
-                "node_budget": self.node_budget,
-                "time_budget": self.time_budget,
+                "node_budget": self.options.node_budget,
+                "time_budget": self.options.time_budget,
                 "min_traces": self.min_traces,
-                "degraded_gap_threshold": self.degraded_gap_threshold,
+                "degraded_gap_threshold": self.options.degraded_fallback,
                 "check_every": self.check_every,
-                "blocking": (
-                    self.blocking.to_dict()
-                    if self.blocking is not None
-                    else None
-                ),
+                "blocking": self.options.to_dict()["blocking"],
             },
             "stream": {
                 "name": stream.name,

@@ -18,7 +18,7 @@ from repro.blocking import (
 )
 from repro.blocking.signals import compute_signals
 from repro.core.astar import SearchBudgetExceeded
-from repro.core.matcher import match
+from repro.core.matcher import MatchOptions, match
 from repro.datagen import generate_largevocab
 from repro.evaluation.harness import run_method
 from repro.log.eventlog import EventLog
@@ -180,7 +180,7 @@ class TestTieredMatch:
         with pytest.raises(ValueError, match="blocking"):
             match(
                 gate_task.log_1, gate_task.log_2,
-                method="greedy", blocking=True,
+                method="heuristic-simple", blocking=True,
             )
 
     def test_heuristic_escalation_via_exact_cutoff(self):
@@ -275,10 +275,10 @@ class TestTransportWiring:
 
         job = MatchJob(
             job_id="j1", log_1="a.xes", log_2="b.xes",
-            blocking={"frequency_gap": 0.1},
+            options=MatchOptions(blocking={"frequency_gap": 0.1}),
         )
         restored = MatchJob.from_payload(job.to_payload())
-        assert restored.blocking == {"frequency_gap": 0.1}
+        assert restored.options.blocking == BlockingConfig(frequency_gap=0.1)
 
     def test_stream_checkpoint_roundtrip(self):
         from repro.stream.engine import OnlineMatcher
@@ -292,4 +292,4 @@ class TestTransportWiring:
         state = matcher.checkpoint()
         assert state["config"]["blocking"]["frequency_gap"] == 0.2
         restored = OnlineMatcher.restore(state)
-        assert restored.blocking == BlockingConfig(frequency_gap=0.2)
+        assert restored.options.blocking == BlockingConfig(frequency_gap=0.2)

@@ -134,6 +134,17 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_invalid_config_refused(self, task, tmp_path):
+        engine = _fresh_engine(task)
+        path = tmp_path / "bad-config.ckpt.json"
+        save_checkpoint(engine, path)
+        document = json.loads(path.read_text())
+        document["state"]["config"]["node_budget"] = "ten"
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="node_budget") as excinfo:
+            load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
+
     def test_wrong_format_refused(self, task, tmp_path):
         path = tmp_path / "alien.json"
         path.write_text(json.dumps({"format": "something-else", "version": 1}))

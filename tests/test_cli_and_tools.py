@@ -96,6 +96,32 @@ class TestCliCommands:
         assert output.startswith("digraph")
         assert '"A" -> "B"' in output
 
+    @pytest.mark.parametrize(
+        "command, extra, field",
+        [
+            ("match", ["--node-budget", "-1"], "node_budget"),
+            ("match", ["--time-budget", "-1"], "time_budget"),
+            ("match", ["--degraded-fallback", "-1"], "degraded_fallback"),
+            ("match", ["--method", "heuristic-simple", "--blocking"],
+             "blocking"),
+            ("stream", ["--node-budget", "-1"], "node_budget"),
+            ("stream", ["--check-every", "0"], "check_every"),
+        ],
+    )
+    def test_invalid_recipe_is_a_usage_error(
+        self, log_files, capsys, command, extra, field
+    ):
+        path_1, path_2, *_ = log_files
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(path_1), str(path_2), *extra])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [error] = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert field in error
+
 
 class TestCliObservability:
     def test_version_flag(self, capsys):

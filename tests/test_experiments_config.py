@@ -7,8 +7,10 @@ these verify the wiring (projection, budgets, method lists) end-to-end.
 import pytest
 
 from repro.core.bounds import BoundKind
+from repro.core.heuristic import SimpleHeuristicMatcher
+from repro.core.scoring import ScoreModel
 from repro.datagen import generate_reallike
-from repro.core.matcher import EventMatcher
+from repro.core.matcher import EventMatcher, MatchOptions
 from repro.evaluation.experiments import (
     figure7_exact_vs_events,
     figure8_exact_vs_traces,
@@ -63,10 +65,15 @@ class TestFigureConfigs:
 
 class TestMatcherConfiguration:
     def test_heuristic_bound_parameter(self):
+        """The simple heuristic runs under every bound kind."""
         task = generate_reallike(num_traces=80, seed=7).project_events(4)
         matcher = EventMatcher(task.log_1, task.log_2, patterns=task.patterns)
         for bound in (BoundKind.SIMPLE, BoundKind.TIGHT, BoundKind.TIGHT_FAST):
-            result = matcher.run("heuristic-simple", heuristic_bound=bound)
+            model = ScoreModel(
+                task.log_1, task.log_2, matcher.full_pattern_set(),
+                bound=bound,
+            )
+            result = SimpleHeuristicMatcher(model).match()
             assert len(result.mapping) == 4
 
     def test_vertex_only_matcher_configuration(self):
@@ -76,5 +83,5 @@ class TestMatcherConfiguration:
         )
         full = matcher.full_pattern_set()
         assert len(full) == 4  # vertex patterns only
-        result = matcher.run("pattern-tight")
+        result = matcher.run(MatchOptions("pattern-tight"))
         assert len(result.mapping) == 4

@@ -9,7 +9,7 @@ import io
 
 import pytest
 
-from repro import EventMatcher, match
+from repro import EventMatcher, MatchOptions, match
 from repro.datagen import (
     generate_random_pair,
     generate_reallike,
@@ -92,6 +92,6 @@ class TestRandomLogsSanity:
         task = generate_random_pair(num_events=4, num_traces=200, seed=5)
         matcher = EventMatcher(task.log_1, task.log_2)
         for method in ("pattern-tight", "heuristic-simple", "heuristic-advanced"):
-            result = matcher.run(method)
+            result = matcher.run(MatchOptions(method))
             assert len(result.mapping) == 4
             assert len(result.mapping.targets()) == 4

@@ -1,8 +1,19 @@
 """Unit tests for the high-level matcher facade and experiments module."""
 
+import json
+import pickle
+
 import pytest
 
-from repro import EventLog, EventMatcher, METHODS, match, parse_pattern
+from repro import (
+    METHODS,
+    EventLog,
+    EventMatcher,
+    MatchOptions,
+    match,
+    parse_pattern,
+)
+from repro.blocking import BlockingConfig
 from repro.core.astar import SearchBudgetExceeded
 from repro.evaluation.experiments import (
     table3_characteristics,
@@ -61,8 +72,8 @@ class TestMatchFacade:
     def test_matcher_reusable_across_methods(self, example_pair):
         log_1, log_2, patterns = example_pair
         matcher = EventMatcher(log_1, log_2, patterns=patterns)
-        first = matcher.run("vertex")
-        second = matcher.run("entropy")
+        first = matcher.run(MatchOptions("vertex"))
+        second = matcher.run(MatchOptions("entropy"))
         assert first.method == "vertex"
         assert second.method == "entropy"
 
@@ -72,6 +83,63 @@ class TestMatchFacade:
         full = matcher.full_pattern_set()
         # 6 vertex patterns + edges + 1 complex pattern.
         assert len(full) == 6 + len(log_1.edges()) + 1
+
+
+class TestMatchOptions:
+    def test_dict_round_trip(self):
+        options = MatchOptions(
+            "pattern-simple", node_budget=10, time_budget=1.5, strict=True,
+            degraded_fallback=0.2, blocking={"frequency_gap": 0.1},
+        )
+        payload = options.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert MatchOptions.from_dict(payload) == options
+        assert pickle.loads(pickle.dumps(options)) == options
+        assert MatchOptions.from_dict({}) == MatchOptions()
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            MatchOptions.from_dict({"workers": 2})
+
+    @pytest.mark.parametrize("blocking", [True, {}, BlockingConfig()])
+    def test_blocking_is_normalized(self, blocking):
+        options = MatchOptions(blocking=blocking)
+        assert options.blocking == BlockingConfig()
+        assert options.to_dict()["blocking"] == BlockingConfig().to_dict()
+
+    @pytest.mark.parametrize("blocking", [None, False])
+    def test_blocking_off_is_none(self, blocking):
+        assert MatchOptions(blocking=blocking).blocking is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("method", "psychic"),
+            ("node_budget", -1),
+            ("node_budget", 1.5),
+            ("node_budget", True),
+            ("node_budget", "ten"),
+            ("time_budget", -1),
+            ("time_budget", float("inf")),
+            ("time_budget", float("nan")),
+            ("time_budget", False),
+            ("strict", "no"),
+            ("strict", 1),
+            ("degraded_fallback", -0.1),
+            ("degraded_fallback", "x"),
+            ("blocking", "yes"),
+            ("blocking", {"frequency_gap": "x"}),
+            ("blocking", {"bogus": 1}),
+        ],
+    )
+    def test_invalid_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MatchOptions(**{field: value})
+
+    @pytest.mark.parametrize("method", ["vertex", "heuristic-advanced"])
+    def test_blocking_needs_a_pattern_method(self, method):
+        with pytest.raises(ValueError, match="blocking"):
+            MatchOptions(method, blocking=True)
 
 
 class TestExperimentConfigs:

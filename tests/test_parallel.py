@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.astar import AStarMatcher, SearchBudgetExceeded
 from repro.core.bounds import BoundKind
-from repro.core.matcher import EventMatcher
+from repro.core.matcher import EventMatcher, MatchOptions
 from repro.core.scoring import ScoreModel, build_pattern_set
 from repro.datagen import generate_reallike, generate_synthetic
 from repro.datagen.random_logs import generate_random_pair
@@ -176,17 +176,19 @@ class TestMatcherFacadeWorkers:
     def test_run_with_workers_matches_serial(self, seed_tasks):
         task = seed_tasks[0]
         matcher = EventMatcher(task.log_1, task.log_2, patterns=task.patterns)
-        serial = matcher.run("pattern-tight")
-        par = matcher.run("pattern-tight", workers=3)
+        serial = matcher.run(MatchOptions("pattern-tight"))
+        par = matcher.run(MatchOptions("pattern-tight"), workers=3)
         assert par.score == pytest.approx(serial.score, abs=1e-12)
         assert par.mapping.as_dict() == serial.mapping.as_dict()
 
     def test_warm_start_ignores_workers(self, seed_tasks):
         task = seed_tasks[0]
         matcher = EventMatcher(task.log_1, task.log_2, patterns=task.patterns)
-        serial = matcher.run("pattern-tight")
+        serial = matcher.run(MatchOptions("pattern-tight"))
         warm = matcher.run(
-            "pattern-tight", workers=3, warm_start=serial.mapping.as_dict()
+            MatchOptions("pattern-tight"),
+            workers=3,
+            warm_start=serial.mapping.as_dict(),
         )
         assert warm.score == pytest.approx(serial.score, abs=1e-12)
         assert "parallel_workers" not in warm.stats.extra

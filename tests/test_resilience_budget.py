@@ -16,7 +16,7 @@ from repro.core.scoring import ScoreModel, build_pattern_set
 from repro.datagen import generate_reallike
 from repro.evaluation.harness import run_method
 from repro.log.eventlog import EventLog
-from repro.core.matcher import EventMatcher, match
+from repro.core.matcher import EventMatcher, MatchOptions, match
 from repro.patterns.parser import parse_pattern
 
 
@@ -95,9 +95,10 @@ class TestWarmStartedExhaustion:
     def test_degraded_never_regresses_below_warm_start(self):
         matcher = EventMatcher(_model().log_1, _model().log_2)
         # A full heuristic pass provides the warm mapping.
-        warm = matcher.run("heuristic-advanced")
+        warm = matcher.run(MatchOptions("heuristic-advanced"))
         exhausted = matcher.run(
-            "pattern-tight", warm_start=warm.mapping, node_budget=1
+            MatchOptions("pattern-tight", node_budget=1),
+            warm_start=warm.mapping,
         )
         assert exhausted.degraded
         assert exhausted.score >= warm.score - 1e-9
@@ -106,9 +107,10 @@ class TestWarmStartedExhaustion:
     def test_warm_started_stats_populated(self):
         model = _model(seed=3)
         matcher = EventMatcher(model.log_1, model.log_2)
-        warm = matcher.run("heuristic-simple")
+        warm = matcher.run(MatchOptions("heuristic-simple"))
         exhausted = matcher.run(
-            "pattern-tight", warm_start=warm.mapping, node_budget=2
+            MatchOptions("pattern-tight", node_budget=2),
+            warm_start=warm.mapping,
         )
         assert exhausted.degraded
         assert exhausted.gap >= 0.0

@@ -33,7 +33,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.matcher import EventMatcher
+from repro.blocking import BlockingConfig
+from repro.core.matcher import EventMatcher, MatchOptions
 from repro.log.csvio import write_csv
 from repro.log.eventlog import EventLog
 from repro.patterns.parser import parse_pattern
@@ -57,6 +58,8 @@ from repro.service.workers import WorkerPool
 LEFT = EventLog([list("ABC"), list("ACB"), list("AB"), list("BCA")], name="left")
 RIGHT = EventLog([list("xyz"), list("xzy"), list("xy"), list("yzx")], name="right")
 PATTERNS = ("SEQ(A, B)",)
+#: Parses, but names an event missing from LEFT: fails in the worker.
+MISSING_EVENT_PATTERNS = ("SEQ(A, Q)",)
 
 
 def make_service(tmp_path, **options):
@@ -152,11 +155,13 @@ class TestJobQueue:
 
     def test_rematch_clones_the_recipe(self):
         queue = JobQueue()
-        job = queue.submit("a", "b", method="heuristic-simple", node_budget=3)
+        job = queue.submit(
+            "a", "b", options=MatchOptions("heuristic-simple", node_budget=3)
+        )
         clone = queue.rematch(job.job_id)
         assert clone.job_id != job.job_id
-        assert clone.method == "heuristic-simple"
-        assert clone.node_budget == 3
+        assert clone.options.method == "heuristic-simple"
+        assert clone.options.node_budget == 3
         assert clone.state == QUEUED
 
     def test_restore_requeues_interrupted_jobs(self):
@@ -213,11 +218,13 @@ class TestWorkerExecution:
         service = make_service(tmp_path)
         service.registry.register("left", LEFT)
         service.registry.register("right", RIGHT)
-        job = service.submit_job("left", "right", method="no-such-method")
+        job = service.submit_job(
+            "left", "right", patterns=MISSING_EVENT_PATTERNS
+        )
         service.run_until_idle()
         failed = service.jobs.get(job.job_id)
         assert failed.state == FAILED
-        assert "no-such-method" in failed.error
+        assert "SEQ(A,Q)" in failed.error
 
     def test_inline_pool_counts_active_until_harvest(self):
         pool = WorkerPool(processes=0)
@@ -369,6 +376,38 @@ class TestHTTPAPI:
         service.run_until_idle()
         assert len(service.jobs) == 0
         assert service.quarantine.total_seen == 0
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"bogus": 1},
+            {"probe": 1},
+            {"drift_threshold": "x"},
+            {"check_every": "x"},
+            {"blocking": "yes"},
+            {"blocking": {"frequency_gap": "x"}},
+            {"node_budget": "ten"},
+            {"time_budget": "x"},
+            {"exact_cutoff": "x"},
+            {"min_traces": "x"},
+            {"patterns": ["SEQ(A, Q)"]},
+            {"degraded_gap_threshold": "x"},
+            {"validate": "no"},
+        ],
+    )
+    def test_malformed_session_is_refused_at_create(self, registered, options):
+        service, api = registered
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._post(
+                api,
+                "/sessions",
+                {"name": "bad", "reference": "left", **options},
+            )
+        assert excinfo.value.code == 400
+        assert "error" in json.loads(excinfo.value.read())
+        assert self._get(api, "/sessions")[1]["sessions"] == []
+        service.save_state()
+        assert list((service.state_dir / "sessions").iterdir()) == []
 
     def test_shutdown_saves_state_and_signals(self, served):
         service, api = served
@@ -598,6 +637,46 @@ class TestSaveAndResume:
             for source, target in expected.mapping.as_dict().items()
         }
         assert current_warm_pool() is None
+
+    def test_manifest_jobs_with_refused_recipes_fail_on_resume(self, tmp_path):
+        """Recipes older builds queued but this one refuses never run."""
+        service = make_service(tmp_path)
+        service.registry.register("left", LEFT)
+        service.registry.register("right", RIGHT)
+        for _ in range(3):
+            service.submit_job("left", "right", patterns=PATTERNS)
+        service.save_state()
+        document = json.loads(service.manifest_path.read_text())
+        poisoned, unparsable, blocked = document["jobs"]["jobs"]
+        poisoned.update(
+            method="no-such-method", state="failed", error="poisoned"
+        )
+        unparsable["node_budget"] = "ten"
+        blocked["blocking"] = True
+        service.manifest_path.write_text(json.dumps(document))
+
+        fresh = make_service(tmp_path)
+        assert fresh.resume()["jobs_requeued"] == 1
+        for stored, field in (
+            (poisoned, "method"), (unparsable, "node_budget")
+        ):
+            job = fresh.jobs.get(stored["job_id"])
+            assert job.state == FAILED
+            assert field in job.error
+        fresh.run_until_idle()
+        assert [job.attempts for job in fresh.jobs.jobs()] == [0, 0, 1]
+        done = fresh.jobs.get(blocked["job_id"])
+        assert done.state == DONE
+        assert done.options.blocking == BlockingConfig()
+        # Refused recipes round-trip verbatim and cannot be re-run.
+        fresh.save_state()
+        again = make_service(tmp_path)
+        again.resume()
+        assert again.jobs.get(unparsable["job_id"]).to_payload()[
+            "node_budget"
+        ] == "ten"
+        with pytest.raises(ValueError, match="node_budget"):
+            again.jobs.rematch(unparsable["job_id"])
 
     def test_spool_survives_manifest_loss(self, tmp_path):
         """SIGKILL before any manifest save must not orphan spooled logs."""

@@ -51,6 +51,8 @@ RIGHT = EventLog(
     name="right",
 )
 PATTERNS = ("SEQ(request, validate)", "SEQ(validate, approve)")
+#: Parses, but names an event missing from LEFT: fails in the worker.
+MISSING_EVENT_PATTERNS = ("SEQ(request, teleport)",)
 
 
 def make_service(tmp_path, **kwargs) -> MatchingService:
@@ -216,24 +218,28 @@ class TestSupervisedDaemon:
         service = make_service(tmp_path, max_retries=2)
         # Shrink backoffs so the test doesn't sleep its way to a minute.
         service.retry_policy = RetryPolicy(max_retries=2, backoff_base=0.001)
-        job = service.submit_job("left", "right", method="no-such-method")
+        job = service.submit_job(
+            "left", "right", patterns=MISSING_EVENT_PATTERNS
+        )
         service.run_until_idle()
         failed = service.jobs.get(job.job_id)
         assert failed.state == FAILED
         assert failed.attempts == 3  # first try + two retries
         assert "poisoned after 3 attempt(s)" in failed.error
-        assert "no-such-method" in failed.error
+        assert "SEQ(request,teleport)" in failed.error
         assert service.recovery.jobs_retried == 2
         assert service.recovery.jobs_poisoned == 1
         [record] = [
             r for r in service.quarantine.records if r.kind == "job"
         ]
         assert record.case_id == job.job_id
-        assert "no-such-method" in record.reason
+        assert "SEQ(request,teleport)" in record.reason
 
     def test_zero_retries_fails_on_first_error(self, tmp_path):
         service = make_service(tmp_path, max_retries=0)
-        job = service.submit_job("left", "right", method="no-such-method")
+        job = service.submit_job(
+            "left", "right", patterns=MISSING_EVENT_PATTERNS
+        )
         service.run_until_idle()
         assert service.jobs.get(job.job_id).state == FAILED
         assert service.recovery.jobs_retried == 0

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.matcher import MatchOptions
 from repro.log.eventlog import EventLog
 from repro.obs.logs import JsonFormatter, LogRingBuffer, bind, record_to_doc
 from repro.obs.metrics import MetricsRegistry
@@ -142,7 +143,7 @@ class TestWorkerSessionAndFold:
         payload = {
             "paths": (str(tmp_path / "l.csv"), str(tmp_path / "r.csv")),
             "patterns": list(PATTERNS),
-            "method": "pattern-tight",
+            "options": MatchOptions("pattern-tight"),
         }
         if telemetry is not None:
             payload["telemetry"] = telemetry
