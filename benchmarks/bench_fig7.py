@@ -14,7 +14,10 @@ from benchmarks.conftest import bench_scale, record_bench, save_report
 from repro.datagen import generate_reallike
 from repro.evaluation.experiments import figure7_exact_vs_events
 from repro.evaluation.harness import run_method
-from repro.evaluation.reporting import format_kernel_counters, format_series
+from repro.evaluation.reporting import (
+    format_observability_report,
+    format_series,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +51,9 @@ def fig7_runs(scale):
         total_seconds = sum(r.elapsed_seconds for r in tight)
         largest = max(tight, key=lambda r: r.num_events)
         if largest.stats is not None:
-            report += "\n\n" + format_kernel_counters(
-                largest.stats, f"pattern-tight @ {largest.num_events} events"
+            report += "\n\n" + format_observability_report(
+                stats=largest.stats,
+                label=f"pattern-tight @ {largest.num_events} events",
             )
         record_bench(
             "fig7",

@@ -8,8 +8,8 @@ is stable against wall-clock noise:
 1. micro-benchmark the guard construct itself (a ``if probe.enabled:``
    loop against an empty loop) to get its per-execution cost in ns;
 2. run a real exact search under a :class:`CountingProbe` — enabled, so
-   every guard passes, but its hooks only count — to learn how many hook
-   sites one search actually executes;
+   every guard passes, but its primitives only count — to learn how many
+   probe calls one search actually executes;
 3. the disabled-probe overhead is then ``guard_ns × sites`` relative to
    the measured disabled-run time.
 
@@ -52,12 +52,14 @@ GUARD_ITERATIONS = 2_000_000
 
 
 class CountingProbe(Probe):
-    """Enabled probe whose hooks only count their invocations.
+    """Enabled probe whose primitives only count their invocations.
 
     Exercises the *enabled* control flow — every guard passes and every
-    hook is called — without any tracer/metrics work, so ``calls`` is
-    exactly the number of guarded hook executions the disabled run
-    merely branches over.
+    primitive is called — without any tracer/metrics work, so ``calls``
+    is exactly the number of guarded probe calls the disabled run
+    merely branches over.  It overrides every public :class:`Probe`
+    method (:func:`assert_counts_every_primitive`), so no call falls
+    through uncounted.
     """
 
     enabled = True
@@ -76,32 +78,25 @@ class CountingProbe(Probe):
     def end_span(self, span, **attributes):
         self.calls += 1
 
-    def on_expansion(self, expansions, frontier_size, incumbent, gap):
+    def count(self, name, amount=1, **labels):
         self.calls += 1
 
-    def on_incumbent(self, score, gap):
+    def gauge(self, name, value, **labels):
         self.calls += 1
 
-    def on_heuristic_pass(self, sweep, score):
+    def observe(self, name, value, **labels):
         self.calls += 1
 
-    def on_frequency_eval(self, cache_hit):
-        self.calls += 1
 
-    def on_kernel_tier(self, tier):
-        self.calls += 1
-
-    def on_stream_commit(self, trace_id, num_events):
-        self.calls += 1
-
-    def on_stream_update(self, record):
-        self.calls += 1
-
-    def record_search_stats(self, stats):
-        self.calls += 1
-
-    def record_recovery_stats(self, recovery):
-        self.calls += 1
+def assert_counts_every_primitive() -> None:
+    """Fail if :class:`Probe` grew a method :class:`CountingProbe` misses."""
+    public = {
+        name
+        for name, value in vars(Probe).items()
+        if callable(value) and not name.startswith("_")
+    }
+    missing = public - set(vars(CountingProbe))
+    assert not missing, f"CountingProbe does not count {sorted(missing)}"
 
 
 def guard_cost_ns(iterations: int = GUARD_ITERATIONS) -> float:
@@ -141,6 +136,7 @@ def obs_overhead(scale):
     disabled_s = min(
         _timed(lambda: search(NULL_PROBE)) for _ in range(3)
     )
+    assert_counts_every_primitive()
     counting = CountingProbe()
     enabled_s = _timed(lambda: search(counting))
     guard_ns = guard_cost_ns()

@@ -66,20 +66,6 @@ from repro.log.eventlog import EventLog
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.patterns.ast import Pattern
 
-#: Stats fields that :meth:`ScoreModel.collect_frequency_evaluations`
-#: *sets* from cumulative evaluator/kernel counters.  Per-block models
-#: share the parent's evaluators, so per-search snapshots of these would
-#: double-count under merge; they are zeroed per search and written once
-#: at the end from the shared evaluators.
-_CUMULATIVE_FIELDS = (
-    "frequency_evaluations",
-    "automaton_builds",
-    "automaton_hits",
-    "bitset_intersections",
-    "trace_cells_scanned",
-)
-
-
 @dataclass(frozen=True)
 class _TierResult:
     """One searched tier's outcome, normalized for composition."""
@@ -89,13 +75,6 @@ class _TierResult:
     degraded: bool
     gap: float
     exact: bool
-
-
-def _zero_cumulative(stats: SearchStats) -> None:
-    for name in _CUMULATIVE_FIELDS:
-        setattr(stats, name, 0)
-    stats.extra.pop("caps_fast_path", None)
-    stats.extra.pop("caps_slow_path", None)
 
 
 def _search_tier(
@@ -125,7 +104,6 @@ def _search_tier(
             time_budget=time_budget,
             strict=strict,
         ).match()
-    _zero_cumulative(outcome.stats)
     return _TierResult(
         mapping=outcome.mapping.as_dict(),
         stats=outcome.stats,
@@ -201,7 +179,7 @@ def tiered_match(
             auto_accepted += 1
             pairs_considered += 1
             if probe.enabled:
-                probe.on_blocking_tier("auto_accept", 1)
+                probe.count("repro_blocking_tier_total", tier="auto_accept")
         else:
             escalated.append(block)
             pairs_considered += block.pairs
@@ -220,8 +198,9 @@ def tiered_match(
         if result.degraded:
             search_gap += result.gap
         if probe.enabled:
-            probe.on_blocking_tier(
-                "exact" if result.exact else "heuristic", 1
+            probe.count(
+                "repro_blocking_tier_total",
+                tier="exact" if result.exact else "heuristic",
             )
 
     # Residual cleanup: unplaced sources vs every still-unused target.
@@ -247,7 +226,7 @@ def tiered_match(
         if result.degraded:
             search_gap += result.gap
         if probe.enabled:
-            probe.on_blocking_tier("residual", 1)
+            probe.count("repro_blocking_tier_total", tier="residual")
 
     # ------------------------------------------------------------------
     # Global rescoring + combined gap (one pass over the full pattern set)
@@ -292,6 +271,8 @@ def tiered_match(
         slack += max(0.0, cap - realized)
 
     combined_gap = search_gap + slack
+    # The rescoring pass is the full model's own run: its evaluations are
+    # the only ones no in-block search has reported yet.
     full_model.collect_frequency_evaluations(merged)
 
     merged.blocking_blocks = len(tier_targets)
@@ -308,9 +289,12 @@ def tiered_match(
         time.perf_counter() - started, 6
     )
     if probe.enabled:
-        probe.on_blocking_plan(
-            len(tier_targets), plan.pairs_total, pairs_considered
-        )
+        probe.gauge("repro_blocking_blocks", len(tier_targets))
+        if plan.pairs_total:
+            probe.gauge(
+                "repro_blocking_pruned_ratio",
+                1.0 - pairs_considered / plan.pairs_total,
+            )
 
     return MatchOutcome(
         Mapping(mapping),

@@ -14,7 +14,7 @@ detected by extension):
 * ``repro serve STATE_DIR`` — run the matching daemon: watched drop
   directory, job queue over worker processes, HTTP API (see
   :mod:`repro.service`);
-* ``repro info`` — version, kernel availability, probe hook points.
+* ``repro info`` — version, kernel availability, probe primitives.
 
 ``match`` and ``stream`` take observability flags: ``--trace FILE``
 (span trace; ``.jsonl`` or Perfetto-loadable Chrome JSON), ``--metrics
@@ -458,12 +458,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
         kernel = f"unavailable ({error})"
     print(f"frequency kernel: {kernel}")
     print(f"methods: {', '.join(METHODS)}")
-    hooks = sorted(
+    primitives = sorted(
         name
-        for name in vars(Probe)
-        if name.startswith("on_") or name.startswith("record_")
+        for name, value in vars(Probe).items()
+        if callable(value) and not name.startswith("_")
     )
-    print(f"probe hooks: {', '.join(hooks)}")
+    print(f"probe primitives: {', '.join(primitives)}")
     print(
         "observability: --trace/--metrics/--heartbeat on `match` and "
         "`stream` (disabled by default; NULL probe on the hot paths)"
@@ -747,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     info_parser = commands.add_parser(
         "info",
-        help="print version, kernel availability and probe hook points",
+        help="print version, kernel availability and probe primitives",
     )
     info_parser.set_defaults(handler=_cmd_info)
     return parser

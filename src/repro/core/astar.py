@@ -245,9 +245,9 @@ class AStarMatcher:
             if depth == goal_depth:
                 stats.expanded_nodes += 1
                 if probe.enabled:
-                    probe.on_expansion(
-                        stats.expanded_nodes, len(frontier), g, 0.0
-                    )
+                    probe.gauge("repro_search_incumbent_score", g)
+                    probe.gauge("repro_search_bound_gap", 0.0)
+                    probe.gauge("repro_search_frontier_size", len(frontier))
                 model.collect_frequency_evaluations(stats)
                 return MatchOutcome(Mapping(mapping), g, stats)
             if shard_mode:
@@ -289,19 +289,20 @@ class AStarMatcher:
             if probe.enabled:
                 # The popped key is this node's f = g + h (exact after a
                 # re-key); with an incumbent it bounds the optimality gap.
+                # The frontier gauge goes last: a heartbeat reads it as
+                # one expansion, with the incumbent and gap set before.
                 f_value = (-negative_key) if h_exact else refreshed
-                incumbent = best_complete[0] if best_complete else None
                 expansion_span = probe.begin_span(
                     "astar.expand", depth=depth, f=round(f_value, 6)
                 )
-                probe.on_expansion(
-                    stats.expanded_nodes,
-                    len(frontier),
-                    incumbent,
-                    max(0.0, f_value - incumbent)
-                    if incumbent is not None
-                    else None,
-                )
+                if best_complete is not None:
+                    incumbent = best_complete[0]
+                    probe.gauge("repro_search_incumbent_score", incumbent)
+                    probe.gauge(
+                        "repro_search_bound_gap",
+                        max(0.0, f_value - incumbent),
+                    )
+                probe.gauge("repro_search_frontier_size", len(frontier))
 
             source = order[depth]
             used_targets = set(mapping.values())
@@ -326,13 +327,6 @@ class AStarMatcher:
                         stats.incumbent_updates += 1
                         if sync is not None:
                             sync.offer(child_g)
-                        if probe.enabled:
-                            probe.on_incumbent(
-                                child_g,
-                                max(0.0, -frontier[0][0] - child_g)
-                                if frontier
-                                else 0.0,
-                            )
                         if prune_at is None or child_g > prune_at:
                             prune_at = child_g
                 else:

@@ -248,7 +248,8 @@ class AdvancedHeuristicMatcher:
         probe = model.probe
         for sweep in range(self.max_refinement_passes):
             if probe.enabled:
-                probe.on_heuristic_pass(sweep, score)
+                probe.count("repro_heuristic_passes_total")
+                probe.gauge("repro_search_incumbent_score", score)
             improved = False
             sources = sorted(mapping)
             unused = [t for t in targets if t not in mapping.values()]

@@ -51,6 +51,7 @@ from repro.core.result import MatchOutcome
 from repro.core.scoring import ScoreModel, build_pattern_set
 from repro.core.stats import SearchStats
 from repro.log.eventlog import EventLog
+from repro.obs.metrics import record_counts
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.patterns.ast import Pattern
 
@@ -254,11 +255,12 @@ class EventMatcher:
         mapping is a lower bound on the optimum, so pruning strictly
         below it preserves optimality).  Other methods ignore it.
 
-        ``probe`` — observability hooks threaded through the score
-        model into the search, heuristics and frequency kernel.  The
-        run is wrapped in a ``match.run`` span and the finished stats
-        are published to the probe's registry.  Defaults to the shared
-        null probe (no overhead).
+        ``probe`` — observability primitives threaded through the
+        score model into the search, heuristics and frequency
+        evaluators.  The run is wrapped in a ``match.run`` span, and
+        the finished stats are published through ``probe.count`` — the
+        one place a ``SearchStats`` quantity reaches the registry.
+        Defaults to the shared null probe (no overhead).
         """
         if probe is None:
             probe = NULL_PROBE
@@ -266,7 +268,7 @@ class EventMatcher:
             return self._run(options, warm_start, probe, workers)
         with probe.span("match.run", method=options.method):
             result = self._run(options, warm_start, probe, workers)
-        probe.record_search_stats(result.stats)
+        record_counts(probe, result.stats.to_dict())
         return result
 
     def _run(

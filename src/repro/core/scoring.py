@@ -97,10 +97,9 @@ class ScoreModel:
     bound:
         Which ``Δ(p, U)`` estimate :meth:`h` uses.
     probe:
-        Observability hooks shared by every consumer of this model (the
-        exact search, the heuristics, both frequency evaluators and
-        their kernels).  Defaults to the no-op
-        :data:`~repro.obs.probe.NULL_PROBE`.
+        Observability primitives shared by every consumer of this model
+        (the exact search, the heuristics, both frequency evaluators).
+        Defaults to the no-op :data:`~repro.obs.probe.NULL_PROBE`.
     source_events, target_events:
         Optional restriction of the matchable vocabularies to subsets of
         the two alphabets — the substrate of the blocking tier
@@ -164,6 +163,7 @@ class ScoreModel:
         #: (fast) versus a full induced-subgraph rescan (slow).
         self.caps_fast_path = 0
         self.caps_slow_path = 0
+        self._caps_taken = (0, 0)
         self._f1: dict[Pattern, float] = {
             pattern: self.evaluator_1.frequency(pattern) for pattern in patterns
         }
@@ -343,9 +343,6 @@ class ScoreModel:
         else:
             self.caps_slow_path += 1
             base_vertex_cap = graph_2.max_vertex_weight(unmapped_set)
-        probe = self.probe
-        if probe.enabled:
-            probe.on_bound_caps(fast)
         exact_edges = self.bound is BoundKind.TIGHT
         if exact_edges:
             # Induced max edge weight over the unmapped targets, computed
@@ -540,28 +537,26 @@ class ScoreModel:
         return ordered
 
     def collect_frequency_evaluations(self, stats: SearchStats) -> None:
-        """Record the evaluators' trace-scan counters into ``stats``.
+        """Add the counters of the matcher run that just ended to ``stats``.
 
-        Kernel observability counters (automaton builds/hits, bitset
-        intersections, trace cells scanned) are summed over both logs'
-        kernels so reports can attribute where evaluation time went.
+        Every matcher run ends with one collect.  The frequency
+        evaluators (memo misses and hits, kernel tiers, automata, bitset
+        operations, trace cells — summed over both logs) and this
+        model's :meth:`h` caps counters each report what they counted
+        since their previous collect, so a run on a reused model (a
+        parallel worker's cached model, a blocked run's per-block models
+        sharing the parent's evaluators) reports its own work only, and
+        a model's construction counts toward its first run.
         """
-        stats.frequency_evaluations = (
-            self.evaluator_1.evaluations + self.evaluator_2.evaluations
-        )
-        if self.caps_fast_path or self.caps_slow_path:
-            stats.extra["caps_fast_path"] = self.caps_fast_path
-            stats.extra["caps_slow_path"] = self.caps_slow_path
-        stats.automaton_builds = 0
-        stats.automaton_hits = 0
-        stats.bitset_intersections = 0
-        stats.trace_cells_scanned = 0
         for evaluator in (self.evaluator_1, self.evaluator_2):
-            kernel = evaluator.kernel
-            if kernel is None:
-                continue
-            counters = kernel.counters
-            stats.automaton_builds += counters.automaton_builds
-            stats.automaton_hits += counters.automaton_hits
-            stats.bitset_intersections += counters.bitset_intersections
-            stats.trace_cells_scanned += counters.trace_cells_scanned
+            for name, value in evaluator.take_counts().items():
+                if hasattr(stats, name):  # kernel-only counters stay there
+                    setattr(stats, name, getattr(stats, name) + value)
+        taken_fast, taken_slow = self._caps_taken
+        self._caps_taken = (self.caps_fast_path, self.caps_slow_path)
+        fast = self.caps_fast_path - taken_fast
+        slow = self.caps_slow_path - taken_slow
+        if fast or slow:
+            extra = stats.extra
+            extra["caps_fast_path"] = extra.get("caps_fast_path", 0) + fast
+            extra["caps_slow_path"] = extra.get("caps_slow_path", 0) + slow

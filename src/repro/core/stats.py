@@ -21,6 +21,8 @@ class SearchStats:
     expanded_nodes: int = 0
     #: Pattern-frequency evaluations that actually scanned traces.
     frequency_evaluations: int = 0
+    #: Pattern-frequency lookups answered from the evaluators' memo.
+    frequency_cache_hits: int = 0
     #: Patterns skipped by the Proposition 3 subgraph pruning rule.
     pruned_by_existence: int = 0
     #: Children discarded because their upper bound could not beat the
@@ -37,6 +39,12 @@ class SearchStats:
     bitset_intersections: int = 0
     #: Trace cells fed through kernel automaton/naive scans.
     trace_cells_scanned: int = 0
+    #: Kernel queries answered by one posting-list popcount (tier 1).
+    popcount_queries: int = 0
+    #: Kernel queries answered from bigram posting bitsets (tier 2).
+    bigram_queries: int = 0
+    #: Kernel tier-3 queries scanned without an automaton.
+    naive_queries: int = 0
     #: Times the anytime search improved its best complete incumbent.
     incumbent_updates: int = 0
     #: Candidate blocks the blocking tier partitioned the vocabularies
@@ -56,22 +64,8 @@ class SearchStats:
 
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another run's counters into this one."""
-        self.processed_mappings += other.processed_mappings
-        self.expanded_nodes += other.expanded_nodes
-        self.frequency_evaluations += other.frequency_evaluations
-        self.pruned_by_existence += other.pruned_by_existence
-        self.pruned_by_bound += other.pruned_by_bound
-        self.label_updates += other.label_updates
-        self.automaton_builds += other.automaton_builds
-        self.automaton_hits += other.automaton_hits
-        self.bitset_intersections += other.bitset_intersections
-        self.trace_cells_scanned += other.trace_cells_scanned
-        self.incumbent_updates += other.incumbent_updates
-        self.blocking_blocks += other.blocking_blocks
-        self.blocking_pairs_total += other.blocking_pairs_total
-        self.blocking_pairs_considered += other.blocking_pairs_considered
-        self.blocking_auto_accepted += other.blocking_auto_accepted
-        self.blocking_escalated += other.blocking_escalated
+        for name in _COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for key, value in other.extra.items():
             # An int default (not 0.0) keeps int + int an int; a float on
             # either side still promotes the sum to float as usual.
@@ -80,15 +74,17 @@ class SearchStats:
     def to_dict(self) -> dict:
         """All counters as one flat dict (``extra`` nested under its key).
 
-        This is the compatibility view the metrics layer snapshots: the
-        dataclass fields stay the public API, and
+        This is the view the metrics layer publishes: the dataclass
+        fields stay the public API, and
         :func:`repro.obs.metrics.record_counts` (or any JSON writer)
         consumes this dict without knowing the field list.
         """
-        payload: dict = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "extra"
-        }
+        payload: dict = {name: getattr(self, name) for name in _COUNTER_FIELDS}
         payload["extra"] = dict(self.extra)
         return payload
+
+
+#: Every integer counter field, in declaration order.
+_COUNTER_FIELDS = tuple(
+    f.name for f in fields(SearchStats) if f.name != "extra"
+)

@@ -18,6 +18,7 @@ from repro.core.matcher import EventMatcher, MatchOptions
 from repro.core.stats import SearchStats
 from repro.datagen.task import MatchingTask
 from repro.evaluation.metrics import MatchQuality, evaluate_mapping
+from repro.obs.metrics import record_counts
 from repro.obs.probe import NULL_PROBE, Probe
 
 
@@ -77,7 +78,7 @@ def run_method(
             result = matcher.run(recipe, probe=probe)
     except SearchBudgetExceeded as overrun:
         if probe.enabled:
-            probe.record_search_stats(overrun.stats)
+            record_counts(probe, overrun.stats.to_dict())
         return MethodRun(
             method=method,
             task_name=task.name,

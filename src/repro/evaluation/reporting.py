@@ -10,14 +10,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from repro.core.stats import SearchStats
 from repro.evaluation.harness import MethodRun
 from repro.obs.report import format_observability_report
 
 __all__ = [
-    "format_kernel_counters",
     "format_observability_report",
-    "format_recovery_stats",
     "format_runs_table",
     "format_series",
     "format_stream_report",
@@ -98,26 +95,6 @@ def format_series(
     return "\n".join(lines)
 
 
-def format_kernel_counters(stats: SearchStats, label: str = "") -> str:
-    """One line of frequency-kernel observability counters.
-
-    Shows where evaluation effort went: how many automata were compiled
-    vs served from the memo, how many bitset posting-list operations ran,
-    and how many trace cells the tier-3 scans actually touched.  A run
-    dominated by ``cells`` did real scanning; a run dominated by memo and
-    bigram hits never left the bitset tier.
-    """
-    prefix = f"{label}: " if label else ""
-    return (
-        f"{prefix}kernel counters — "
-        f"freq evals {stats.frequency_evaluations}, "
-        f"automata built {stats.automaton_builds} / "
-        f"memo hits {stats.automaton_hits}, "
-        f"bitset ops {stats.bitset_intersections}, "
-        f"trace cells scanned {stats.trace_cells_scanned}"
-    )
-
-
 def format_stream_report(updates: Sequence["StreamUpdate"]) -> str:
     """A per-update table of an online matching run.
 
@@ -156,47 +133,4 @@ def format_stream_report(updates: Sequence["StreamUpdate"]) -> str:
             f"{update.score:9.3f} {drift_text:>7} {action:<{action_width}} "
             f"{update.elapsed_seconds:8.3f} {mapping_text:<9}"
         )
-    return "\n".join(lines)
-
-
-def format_recovery_stats(recovery, quarantine=None, label: str = "") -> str:
-    """An operator-facing summary of the resilience counters.
-
-    One line of :class:`~repro.resilience.recovery.RecoveryStats`
-    counters (quarantines, isolated listener errors, the self-healing
-    check→verify→rebuild funnel), followed — when a
-    :class:`~repro.resilience.quarantine.QuarantineStore` is given and
-    non-empty — by its per-reason breakdown.  All zeros means nothing
-    ever degraded.
-    """
-    prefix = f"{label}: " if label else ""
-    lines = [
-        f"{prefix}recovery — "
-        f"quarantined {recovery.quarantined_traces}, "
-        f"listener errors {recovery.listener_errors}, "
-        f"checks {recovery.invariant_checks} "
-        f"(failed {recovery.cheap_check_failures}), "
-        f"verifies {recovery.verifications} "
-        f"(diverged {recovery.divergences}), "
-        f"rebuilds {recovery.rebuilds} "
-        f"(suppressed {recovery.rebuilds_suppressed})"
-    ]
-    supervision = (
-        recovery.jobs_retried,
-        recovery.workers_respawned,
-        recovery.jobs_poisoned,
-        recovery.jobs_deadline_exceeded,
-        recovery.backpressure_rejections,
-    )
-    if any(supervision):
-        lines.append(
-            f"{prefix}supervision — "
-            f"retries {recovery.jobs_retried}, "
-            f"respawns {recovery.workers_respawned}, "
-            f"poisoned {recovery.jobs_poisoned}, "
-            f"deadlines {recovery.jobs_deadline_exceeded}, "
-            f"backpressure {recovery.backpressure_rejections}"
-        )
-    if quarantine is not None and quarantine.total_seen:
-        lines.append(prefix + quarantine.summary())
     return "\n".join(lines)

@@ -40,7 +40,6 @@ from repro.kernel.interner import BIGRAM_SHIFT, EventInterner
 from repro.log.events import Event
 from repro.log.eventlog import EventLog, StaleIndexError
 from repro.log.index import TraceIndex
-from repro.obs.probe import NULL_PROBE, Probe
 
 
 @dataclass
@@ -53,8 +52,12 @@ class KernelCounters:
     automaton_hits: int = 0
     #: Bitset ``&``/``|`` operations on posting lists.
     bitset_intersections: int = 0
+    #: Queries answered by one posting-list popcount (tier 1).
+    popcount_queries: int = 0
     #: Queries answered purely from bigram posting bitsets (tier 2).
     bigram_queries: int = 0
+    #: Tier-3 queries scanned naively, without an automaton.
+    naive_queries: int = 0
     #: Trace cells fed through an automaton or naive scan (tier 3).
     trace_cells_scanned: int = 0
     #: Candidate traces visited by tier 3.
@@ -89,10 +92,10 @@ class FrequencyKernel:
     use_bigrams:
         Tier 2 ablation switch: when ``False`` length-2 orders fall
         through to tier 3 like any other order.
-    probe:
-        Observability hooks; each query reports which tier answered it
-        (``popcount`` / ``bigram`` / ``automaton`` / ``naive``) behind a
-        single ``enabled`` check.  Defaults to the no-op null probe.
+
+    Each query that reaches a tier counts in :attr:`counters`:
+    ``popcount_queries``, ``bigram_queries``, ``naive_queries``, and for
+    the automaton tier ``automaton_builds + automaton_hits``.
     """
 
     def __init__(
@@ -102,7 +105,6 @@ class FrequencyKernel:
         use_automaton: bool = True,
         use_bigrams: bool = True,
         counters: KernelCounters | None = None,
-        probe: Probe | None = None,
     ):
         if trace_index is not None and trace_index.log is not log:
             raise ValueError("trace_index was built for a different log")
@@ -116,7 +118,6 @@ class FrequencyKernel:
         self._generation = log.generation
         self._automata: dict[frozenset[tuple[int, ...]], OrderAutomaton] = {}
         self.counters = counters if counters is not None else KernelCounters()
-        self._probe = probe if probe is not None else NULL_PROBE
         self._sync_bigrams()
 
     @property
@@ -200,13 +201,11 @@ class FrequencyKernel:
             interned.append(ids)
 
         counters = self.counters
-        probe = self._probe
         size = len(interned[0])
 
         # Tier 1: a single event is its posting list's popcount.
         if size == 1:
-            if probe.enabled:
-                probe.on_kernel_tier("popcount")
+            counters.popcount_queries += 1
             return self._index.posting_bits(needles[0][0]).bit_count()
 
         # Tier 2: length-2 orders straight from bigram posting bitsets.
@@ -217,8 +216,6 @@ class FrequencyKernel:
                 acc |= bigram_bits.get((first << BIGRAM_SHIFT) | second, 0)
             counters.bigram_queries += 1
             counters.bitset_intersections += len(interned)
-            if probe.enabled:
-                probe.on_kernel_tier("bigram")
             return acc.bit_count()
 
         # Tier 3: bitset candidates, one automaton pass per candidate.
@@ -231,8 +228,6 @@ class FrequencyKernel:
                 return 0
         traces = self._interner.interned_traces
         count = 0
-        if probe.enabled:
-            probe.on_kernel_tier("automaton" if self._use_automaton else "naive")
         if self._use_automaton:
             key = frozenset(interned)
             automaton = self._automata.get(key)
@@ -251,6 +246,7 @@ class FrequencyKernel:
                 if end:
                     count += 1
         else:
+            counters.naive_queries += 1
             for trace_id in iter_bits(candidates):
                 trace = traces[trace_id]
                 counters.candidates_scanned += 1

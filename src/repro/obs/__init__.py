@@ -7,8 +7,9 @@ The observability substrate every other layer reports through:
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   fixed-bucket histograms with Prometheus text and JSON writers;
 * :class:`~repro.obs.probe.Probe` / :data:`~repro.obs.probe.NULL_PROBE`
-  — the hook seam threaded through the search, kernel and stream hot
-  paths (near-free when disabled);
+  — the seam of four primitives (spans, ``count``, ``gauge``,
+  ``observe``) threaded through the search, stream and service paths
+  (near-free when disabled);
 * :class:`~repro.obs.progress.ProgressReporter` — heartbeat lines
   (expansions/sec, incumbent, gap) during long exact searches;
 * :func:`~repro.obs.report.format_observability_report` — the one
@@ -47,7 +48,7 @@ from repro.obs.metrics import (
     record_counts,
     sanitize_metric_name,
 )
-from repro.obs.probe import NULL_PROBE, NullProbe, ObservabilityProbe, Probe
+from repro.obs.probe import NULL_PROBE, ObservabilityProbe, Probe
 from repro.obs.profiler import SamplingProfiler, profile_for
 from repro.obs.progress import ProgressReporter
 from repro.obs.report import format_observability_report
@@ -70,7 +71,6 @@ __all__ = [
     "LogRingBuffer",
     "MetricsRegistry",
     "NULL_PROBE",
-    "NullProbe",
     "ObservabilityProbe",
     "Probe",
     "ProgressReporter",

@@ -1,9 +1,9 @@
 """Counters, gauges and fixed-bucket histograms with two writers.
 
-:class:`MetricsRegistry` is the process-local metrics substrate: hot
-paths increment pre-resolved :class:`Counter`/:class:`Gauge`/
-:class:`Histogram` instances (one attribute store per update, no dict
-lookup), and the registry renders everything either as a JSON snapshot
+:class:`MetricsRegistry` is the process-local metrics substrate: a live
+probe resolves each :class:`Counter`/:class:`Gauge`/:class:`Histogram`
+series once and updates it in place, and the registry renders
+everything either as a JSON snapshot
 (:meth:`MetricsRegistry.snapshot`) or in the Prometheus text exposition
 format (:meth:`MetricsRegistry.to_prometheus`), so a long-running
 service can expose the same numbers a benchmark writes to disk.
@@ -14,6 +14,10 @@ labels={"tier": "bigram"})`` and the ``tier="automaton"`` series share
 one family (one ``# HELP``/``# TYPE`` header) but count independently.
 Everything is stdlib-only by design — the observability layer must not
 add dependencies to the matcher.
+
+The metric *names* live here too: :data:`METRIC_HELP` describes every
+family once, and :func:`record_counts` is the one publisher of a
+finished run's ``SearchStats``.
 """
 
 from __future__ import annotations
@@ -263,28 +267,174 @@ class MetricsRegistry:
             handle.write(self.to_prometheus())
 
 
-def record_counts(
-    registry: MetricsRegistry,
-    counts: dict,
-    prefix: str = "repro_",
-    help_text: str = "",
-) -> None:
-    """Feed a flat ``{name: number}`` dict into registry counters.
+#: ``# HELP`` text per metric family.  Every series a probe creates
+#: looks its help up here, so a name is described once, whichever site
+#: (or process) first uses it.
+METRIC_HELP = {
+    "repro_search_expansions_total": "A* tree nodes expanded",
+    "repro_search_frontier_size": "Open nodes on the A* frontier",
+    "repro_search_incumbent_score": "Best complete incumbent mapping score",
+    "repro_search_bound_gap": (
+        "Best open g+h minus the incumbent score (optimality-gap bound)"
+    ),
+    "repro_search_incumbent_updates_total": (
+        "Times the anytime incumbent improved"
+    ),
+    "repro_heuristic_passes_total": (
+        "Hill-climb sweeps / augmentation rounds of the heuristics"
+    ),
+    "repro_frequency_evaluations_total": (
+        "Pattern-frequency evaluations that missed the memo"
+    ),
+    "repro_frequency_cache_hits_total": (
+        "Pattern-frequency evaluations answered from the memo"
+    ),
+    "repro_kernel_tier_total": "Frequency-kernel queries answered, by tier",
+    "repro_bounds_caps_total": (
+        "ScoreModel.h calls whose TIGHT maxima came from sorted caps"
+    ),
+    "repro_stream_commits_total": "Traces committed to the stream",
+    "repro_stream_events_total": "Events inside committed traces",
+    "repro_stream_updates_total": "OnlineMatcher.update calls",
+    "repro_stream_rematches_total": "Updates that ran a re-match",
+    "repro_stream_score": "Realized D^N(M) at the live frequencies",
+    "repro_stream_drift": "Relative drift against the last baseline",
+    "repro_stream_rematch_seconds": "Wall-clock seconds per re-match",
+    "repro_parallel_workers": (
+        "Worker processes of the most recent parallel run"
+    ),
+    "repro_parallel_shards_total": (
+        "Root-split shards completed by parallel searches"
+    ),
+    "repro_parallel_shard_seconds": (
+        "Wall-clock seconds per parallel search shard"
+    ),
+    "repro_parallel_chunks_total": (
+        "Work-stealing root chunks completed by parallel searches"
+    ),
+    "repro_parallel_steals_total": (
+        "Chunks claimed by a worker other than their home worker"
+    ),
+    "repro_parallel_pool_reuse": (
+        "Whether the most recent parallel run reused a warm pool (1/0)"
+    ),
+    "repro_parallel_pool_spawns_total": (
+        "Parallel runs that had to create a fresh worker pool"
+    ),
+    "repro_parallel_pool_reuses_total": (
+        "Parallel runs served by an already-warm worker pool"
+    ),
+    "repro_blocking_blocks": (
+        "Candidate blocks of the most recent blocking plan"
+    ),
+    "repro_blocking_pruned_ratio": (
+        "Fraction of the |V1|x|V2| pair space pruned by blocking"
+    ),
+    "repro_blocking_tier_total": (
+        "Blocks resolved by the tiered matcher, by tier"
+    ),
+    "repro_service_queue_depth": "Match jobs waiting for a worker",
+    "repro_service_job_seconds": (
+        "Wall-clock seconds per finished service job"
+    ),
+    "repro_service_jobs_submitted_total": (
+        "Jobs accepted by the service queue, by kind"
+    ),
+    "repro_service_jobs_finished_total": (
+        "Jobs leaving the queue, by kind and terminal state"
+    ),
+    "repro_service_files_total": (
+        "Watched-directory files processed, by outcome"
+    ),
+    "repro_service_http_requests_total": (
+        "HTTP API requests served, by route and status"
+    ),
+    "repro_service_job_retries_total": (
+        "Job attempts re-queued by the retry policy, by failure kind"
+    ),
+    "repro_service_jobs_poisoned_total": (
+        "Jobs dead-lettered into quarantine, by last failure kind"
+    ),
+    "repro_service_pool_respawns_total": (
+        "Worker-pool rebuilds performed by supervision, by trigger"
+    ),
+    "repro_service_backpressure_total": (
+        "Job submissions refused because the queue was at its bound"
+    ),
+}
 
-    This is how the legacy stats dataclasses (``SearchStats.to_dict``,
-    ``KernelCounters.as_dict``, ``RecoveryStats.as_dict``) publish into
-    the registry without growing a dependency on this package: callers
-    pass their counter dict, non-numeric values are skipped, and nested
-    dicts recurse with their key joined into the prefix.
+#: Prefix and help of the ``SearchStats`` fields published under their
+#: own names (:func:`record_counts`).
+STATS_PREFIX = "repro_stats_"
+STATS_HELP = "Search-statistics counter mirrored from SearchStats"
+
+#: The ``SearchStats`` quantities that are published under a search,
+#: frequency, kernel, bounds or parallel name instead of the default
+#: ``repro_stats_<field>`` / ``repro_stats_extra_<key>``: keyed by that
+#: default name, which therefore never appears.
+STATS_RENAMED = {
+    "repro_stats_expanded_nodes": ("repro_search_expansions_total", {}),
+    "repro_stats_incumbent_updates": (
+        "repro_search_incumbent_updates_total", {}
+    ),
+    "repro_stats_frequency_evaluations": (
+        "repro_frequency_evaluations_total", {}
+    ),
+    "repro_stats_frequency_cache_hits": (
+        "repro_frequency_cache_hits_total", {}
+    ),
+    "repro_stats_popcount_queries": (
+        "repro_kernel_tier_total", {"tier": "popcount"}
+    ),
+    "repro_stats_bigram_queries": (
+        "repro_kernel_tier_total", {"tier": "bigram"}
+    ),
+    "repro_stats_naive_queries": (
+        "repro_kernel_tier_total", {"tier": "naive"}
+    ),
+    "repro_stats_extra_caps_fast_path": (
+        "repro_bounds_caps_total", {"path": "fast"}
+    ),
+    "repro_stats_extra_caps_slow_path": (
+        "repro_bounds_caps_total", {"path": "slow"}
+    ),
+    "repro_stats_extra_parallel_chunks": ("repro_parallel_chunks_total", {}),
+    "repro_stats_extra_parallel_steals": ("repro_parallel_steals_total", {}),
+}
+
+
+def help_for(name: str) -> str:
+    """The ``# HELP`` text of metric ``name`` (empty when undescribed)."""
+    if name.startswith(STATS_PREFIX):
+        return STATS_HELP
+    return METRIC_HELP.get(name, "")
+
+
+def record_counts(probe, counts: dict, prefix: str = STATS_PREFIX) -> None:
+    """Publish a finished run's counters through ``probe.count``.
+
+    ``counts`` is a flat ``{name: number}`` dict — ``SearchStats.to_dict()``
+    — whose nested dicts (``extra``) recurse with their key joined into
+    the prefix.  This is the one place a ``SearchStats`` quantity reaches
+    the registry: each publishes once, under its :data:`STATS_RENAMED`
+    name or else as ``<prefix><field>``.  The automaton kernel tier is
+    the automata built plus those reused.  Zero, negative, boolean and
+    non-numeric values publish nothing, so a series only exists once
+    something was counted.
     """
+    automaton = counts.get("automaton_builds", 0) + counts.get(
+        "automaton_hits", 0
+    )
+    if automaton > 0:
+        probe.count("repro_kernel_tier_total", automaton, tier="automaton")
     for key, value in counts.items():
         if isinstance(value, dict):
-            record_counts(registry, value, f"{prefix}{key}_", help_text)
+            record_counts(probe, value, f"{prefix}{key}_")
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
-        if value < 0:
-            continue  # counters are monotone; negatives have no series here
-        registry.counter(
-            sanitize_metric_name(f"{prefix}{key}"), help_text
-        ).inc(value)
+        if value <= 0:
+            continue
+        name = sanitize_metric_name(f"{prefix}{key}")
+        name, labels = STATS_RENAMED.get(name, (name, {}))
+        probe.count(name, value, **labels)

@@ -6,14 +6,17 @@ and its optimality-gap bound — so an operator watching a minutes-long
 exact search can tell a converging run (gap shrinking) from a hopeless
 one (gap flat, rate falling) without waiting for the final answer.
 
-The reporter is driven from the probe's ``on_expansion`` hook and rate-
-limits itself on the monotonic clock: one emitted line per ``interval``
-seconds at most, whatever the expansion rate.  ``sink`` is any callable
-accepting one string; the default writes to ``sys.stderr`` so heartbeat
-lines never contaminate machine-read stdout — *except* inside pool
-worker processes, where raw writes to the inherited stderr interleave
-byte-for-byte with the parent's and every other worker's output.  There
-the default sink routes through the structured logger instead
+A live probe hands the reporter every gauge update (:meth:`update`):
+the search sets its incumbent and gap gauges, then the frontier gauge
+once per expansion, so each frontier update counts as one expansion and
+may emit a line.  The reporter rate-limits itself on the monotonic
+clock: one emitted line per ``interval`` seconds at most, whatever the
+expansion rate.  ``sink`` is any callable accepting one string; the
+default writes to ``sys.stderr`` so heartbeat lines never contaminate
+machine-read stdout — *except* inside pool worker processes, where raw
+writes to the inherited stderr interleave byte-for-byte with the
+parent's and every other worker's output.  There the default sink
+routes through the structured logger instead
 (:mod:`repro.obs.logs`): correlated, one valid line per record, and
 silent unless the process actually configured logging.
 """
@@ -43,6 +46,9 @@ class ProgressReporter:
         self._last_time: float | None = None
         self._last_expansions = 0
         self.reports_emitted = 0
+        self._expansions = 0
+        self._incumbent: float | None = None
+        self._gap: float | None = None
 
     def _emit(self, line: str) -> None:
         if self._sink is not None:
@@ -56,6 +62,21 @@ class ProgressReporter:
         else:
             print(line, file=sys.stderr)
         self.reports_emitted += 1
+
+    def update(self, name: str, value) -> None:
+        """Take one gauge update from the probe; heartbeat per expansion."""
+        if name == "repro_search_frontier_size":
+            self._expansions += 1
+            self.heartbeat(
+                self._expansions,
+                frontier_size=value,
+                incumbent=self._incumbent,
+                gap=self._gap,
+            )
+        elif name == "repro_search_incumbent_score":
+            self._incumbent = value
+        elif name == "repro_search_bound_gap":
+            self._gap = value
 
     def heartbeat(
         self,

@@ -1,13 +1,12 @@
 """One text report for everything the system observed about itself.
 
 :func:`format_observability_report` is the single operator-facing
-formatter that the scattered per-layer helpers (``format_kernel_counters``
-for search/kernel counters, ``format_recovery_stats`` for resilience)
-grew into: give it whichever of the stats objects a run produced and it
-renders the matching sections, in a fixed order, with one indented line
-per fact.  Everything is duck-typed (``to_dict``/``as_dict``/
-``snapshot``/``summary``) so this module stays import-free of the layers
-it reports on.
+formatter for search and kernel counters, resilience counters,
+quarantine and live metrics: give it whichever of the stats objects a
+run produced and it renders the matching sections, in a fixed order,
+with one indented line per fact.  Everything is duck-typed
+(``to_dict``/``as_dict``/``snapshot``/``summary``) so this module stays
+import-free of the layers it reports on.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ probe records dies with the worker.  This module is the bridge:
   :class:`TelemetryProbe` coalesces the per-expansion ``astar.expand``
   begin/end firehose into coarse ``astar.chunk`` spans (one per
   :data:`EXPANSION_CHUNK` expansions) — that is what keeps the enabled
-  tax inside the <5% budget while heuristic phases, kernel tiers and
-  search counters stay exact.
+  tax inside the <5% budget, while the finished run's search and kernel
+  counters still reach the per-job registry exactly.
 * On harvest, the parent-side :class:`TelemetryHub` folds the worker's
   counter snapshot into the global registry under ``worker=<pid>``
   labels (exactly once per harvested outcome — fail-over harvesting in
@@ -169,8 +169,7 @@ class TelemetryProbe(ObservabilityProbe):
     fold into one ``astar.chunk`` span per :data:`EXPANSION_CHUNK`
     expansions, emitted straight to the spool without touching the
     tracer stack so chunk boundaries never fight block structure.
-    Every cheap counter hook (expansions, kernel tiers, dominance,
-    steals) still lands in the per-job registry exactly.
+    Counts, gauges and histograms are the base class's, unchanged.
     """
 
     def __init__(self, session: "WorkerTelemetry", tracer, metrics):
@@ -284,8 +283,8 @@ class WorkerTelemetry:
         return time.monotonic() - self.tracer._epoch
 
     def _on_span_finish(self, span: Span) -> None:
-        # A forked grandchild inherits this session object; its spans
-        # must not interleave into the parent worker's spool.
+        # A process forked from this one inherits the session object;
+        # its spans must not interleave into this worker's spool.
         if os.getpid() != self.pid:
             return
         self.spool.add(span.as_dict())
@@ -445,7 +444,8 @@ class TelemetryHub:
         Exactly-once is primarily the pool's harvest guarantee (one
         :class:`JobOutcome` per attempt, fail-over included); the
         ``(job_id, attempt)`` guard here turns any violation into a
-        silent skip instead of inflated counters.
+        silent skip instead of inflated counters.  Zero samples fold
+        nothing, so no ``repro_worker_*`` series exists at zero.
         """
         if not self.enabled or not telemetry or self.registry is None:
             return False
@@ -457,7 +457,7 @@ class TelemetryHub:
         for sample in telemetry.get("counters", ()):
             name = sample.get("name")
             value = sample.get("value", 0)
-            if not name or not isinstance(value, (int, float)) or value < 0:
+            if not name or not isinstance(value, (int, float)) or value <= 0:
                 continue
             labels = dict(sample.get("labels") or {})
             labels["worker"] = worker
@@ -695,54 +695,3 @@ class TelemetryHub:
     def state(self) -> dict:
         """The ``/healthz`` telemetry section."""
         return {"enabled": self.enabled, **self.stats}
-
-
-# ----------------------------------------------------------------------
-# Module-level session plumbing (worker entrypoints)
-# ----------------------------------------------------------------------
-# The active session of this process.  Set by execute_match_job; forked
-# grandchildren (nested parallel search) inherit it and derive their
-# own pid-keyed session lazily via derived_session().
-_ACTIVE: WorkerTelemetry | None = None
-
-
-def set_active_session(session: WorkerTelemetry | None) -> None:
-    global _ACTIVE
-    _ACTIVE = session
-
-
-def active_session() -> WorkerTelemetry | None:
-    """This process's own session (``None`` if inherited from a parent)."""
-    if _ACTIVE is not None and _ACTIVE.pid == os.getpid():
-        return _ACTIVE
-    return None
-
-
-def derived_session() -> WorkerTelemetry | None:
-    """A session for this process, deriving one from an inherited parent.
-
-    A nested parallel-search worker forks from a pool worker that holds
-    an active session; the fork inherits the object but must not write
-    to the parent's spool (the pid guard refuses).  Instead it opens a
-    sibling spool under the same trace/job/attempt identity, so chunk
-    spans from the grandchildren land in the merged trace as extra pid
-    lanes.
-    """
-    global _ACTIVE
-    if _ACTIVE is None:
-        return None
-    if _ACTIVE.pid == os.getpid():
-        return _ACTIVE
-    inherited = _ACTIVE
-    try:
-        _ACTIVE = WorkerTelemetry(
-            spool_dir=inherited.spool.path.parent,
-            trace_id=inherited.trace_id,
-            job_id=inherited.job_id,
-            attempt=inherited.attempt,
-            profile=False,
-            max_bytes=inherited.spool.max_bytes,
-        )
-    except OSError:
-        _ACTIVE = None
-    return _ACTIVE

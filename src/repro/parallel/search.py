@@ -75,7 +75,6 @@ from repro.core.scoring import ScoreModel, build_pattern_set
 from repro.core.stats import SearchStats
 from repro.log.events import Event
 from repro.log.eventlog import EventLog
-from repro.obs import telemetry
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.parallel.pool import (
     ModelHandle,
@@ -107,7 +106,6 @@ class ShardOutcome:
     exhausted: bool
     stats: SearchStats
     elapsed_seconds: float
-    worker: int = 0
     stolen: bool = False
 
     @property
@@ -128,7 +126,6 @@ class ShardOutcome:
 class WorkerReport:
     """Everything one pool task returns: its claimed chunks plus costs."""
 
-    worker: int
     outcomes: tuple[ShardOutcome, ...]
     model_cache_hit: bool
     elapsed_seconds: float
@@ -190,22 +187,16 @@ def _run_worker_shard(
     for mappings *strictly* better than the warm start and terminates
     instead of draining the near-optimal ``g + h`` plateau.  A chunk
     whose home worker (``index % workers``) differs from the claimer
-    was *stolen* — the work-stealing counter the probes export.
+    was *stolen* — the work-stealing count the merged stats report.
     """
     incumbent, cursor = worker_cells()
     model, cache_hit = materialize_model(handle)
-    # A service job running with workers>1 nests this shard inside a
-    # pool worker that holds a telemetry session; the fork inherited it,
-    # so derive this process's own spool and leave per-chunk spans in
-    # the merged trace as an extra pid lane.  None when telemetry is off.
-    session = telemetry.derived_session()
     started = time.perf_counter()
     outcomes: list[ShardOutcome] = []
     while True:
         chunk_index = cursor.claim()
         if chunk_index >= len(chunks):
             break
-        span_started = session.now() if session is not None else 0.0
         chunk_started = time.perf_counter()
         seed = incumbent.peek()
         matcher = AStarMatcher(
@@ -222,18 +213,6 @@ def _run_worker_shard(
         outcome = matcher.match()
         if outcome.score > float("-inf"):
             incumbent.offer(outcome.score)
-        if session is not None:
-            session.emit_span(
-                "parallel.chunk",
-                start=span_started,
-                end=session.now(),
-                attributes={
-                    "chunk": chunk_index,
-                    "worker": worker,
-                    "stolen": chunk_index % workers != worker,
-                    "expanded_nodes": outcome.stats.expanded_nodes,
-                },
-            )
         outcomes.append(
             ShardOutcome(
                 shard=chunk_index,
@@ -244,12 +223,10 @@ def _run_worker_shard(
                 exhausted=bool(outcome.stats.extra.get("frontier_exhausted")),
                 stats=outcome.stats,
                 elapsed_seconds=time.perf_counter() - chunk_started,
-                worker=worker,
                 stolen=chunk_index % workers != worker,
             )
         )
     return WorkerReport(
-        worker=worker,
         outcomes=tuple(outcomes),
         model_cache_hit=cache_hit,
         elapsed_seconds=time.perf_counter() - started,
@@ -333,9 +310,10 @@ def parallel_match(
     cached score models survive into the next call; a cold run is
     :func:`~repro.parallel.pool.close_warm_pool` followed by a call.
 
-    Worker processes run with the null probe; the parent emits
-    ``parallel.match`` spans, per-chunk metrics, steal counts, and
-    pool gauges through ``probe``.
+    Worker processes run with the null probe; the parent emits the
+    ``parallel.match`` span, per-shard metrics and pool gauges through
+    ``probe``.  Chunk and steal counts travel in the merged stats
+    (``parallel_chunks``/``parallel_steals`` extras).
     """
     if probe is None:
         probe = NULL_PROBE
@@ -373,8 +351,13 @@ def parallel_match(
     )
     with probe.span("parallel.match", workers=effective, chunks=len(chunks)):
         if probe.enabled:
-            probe.on_parallel_run(effective, len(chunks))
-            probe.on_pool_event(reused, effective)
+            probe.gauge("repro_parallel_workers", effective)
+            probe.gauge("repro_parallel_pool_reuse", float(reused))
+            probe.count(
+                "repro_parallel_pool_reuses_total"
+                if reused
+                else "repro_parallel_pool_spawns_total"
+            )
         with pool.lock:
             pool.begin_run(seed_score)
             futures = [
@@ -411,18 +394,12 @@ def parallel_match(
                 ).match()
                 outcome.stats.extra["parallel_pool_broken"] = 1
                 return outcome
-        for report in reports:
-            if probe.enabled:
-                expanded = sum(o.stats.expanded_nodes for o in report.outcomes)
-                probe.on_shard_done(
-                    report.worker, report.elapsed_seconds, expanded
+        if probe.enabled:
+            for report in reports:
+                probe.count("repro_parallel_shards_total")
+                probe.observe(
+                    "repro_parallel_shard_seconds", report.elapsed_seconds
                 )
-                for outcome in report.outcomes:
-                    probe.on_chunk_done(
-                        outcome.worker, outcome.shard, outcome.stolen
-                    )
-                    if outcome.stolen:
-                        probe.on_shard_steal(outcome.worker, outcome.shard)
     outcomes = [o for report in reports for o in report.outcomes]
     merged = _merge_chunks(
         outcomes, order, effective, strict, seed=(seed_score, seed_mapping)

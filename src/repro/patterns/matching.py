@@ -92,8 +92,8 @@ class PatternFrequencyEvaluator:
         ``False`` the naive per-order candidate scan runs instead — the
         oracle configuration for ablations and equivalence tests.
     probe:
-        Observability hooks (memo hit/miss counts, per-evaluation spans);
-        shared with the kernel.  Defaults to the no-op null probe.
+        Observability hooks (one ``frequency.eval`` span per memo miss).
+        Defaults to the no-op null probe.
     """
 
     def __init__(
@@ -116,9 +116,7 @@ class PatternFrequencyEvaluator:
             # sibling layers.
             from repro.kernel.frequency import FrequencyKernel
 
-            self._kernel = FrequencyKernel(
-                log, trace_index=self._index, probe=self._probe
-            )
+            self._kernel = FrequencyKernel(log, trace_index=self._index)
         else:
             self._kernel = None
         # Frequencies memoized by the *instantiated* allowed-order set, so
@@ -126,6 +124,8 @@ class PatternFrequencyEvaluator:
         # same targets) share one entry.
         self._frequency_memo: dict[frozenset[tuple[Event, ...]], float] = {}
         self.evaluations = 0  # trace scans actually performed
+        self.cache_hits = 0  # lookups answered from the memo
+        self._taken: dict[str, int] = {}
 
     @property
     def log(self) -> EventLog:
@@ -159,6 +159,25 @@ class PatternFrequencyEvaluator:
         )
         return self._frequency_of_orders(mapped_orders)
 
+    def take_counts(self) -> dict[str, int]:
+        """This evaluator's and its kernel's counts since the last call.
+
+        Keyed by ``SearchStats`` field name (plus kernel-only counters).
+        Every count is handed out exactly once — the first call gets
+        everything since construction — so score models sharing one
+        evaluator never report the same evaluation twice.
+        """
+        counts = {
+            "frequency_evaluations": self.evaluations,
+            "frequency_cache_hits": self.cache_hits,
+        }
+        if self._kernel is not None:
+            counts.update(self._kernel.counters.as_dict())
+        taken, self._taken = self._taken, counts
+        return {
+            name: value - taken.get(name, 0) for name, value in counts.items()
+        }
+
     def clear_cache(self) -> None:
         """Drop memoized frequencies (used by ablation benchmarks)."""
         self._frequency_memo.clear()
@@ -188,18 +207,16 @@ class PatternFrequencyEvaluator:
                 f"{self._generation} but log {self._log.name!r} is at "
                 f"generation {self._log.generation}; call refresh()"
             )
-        probe = self._probe
         cached = self._frequency_memo.get(orders)
         if cached is not None:
-            if probe.enabled:
-                probe.on_frequency_eval(cache_hit=True)
+            self.cache_hits += 1
             return cached
         if len(self._log) == 0:
             frequency = 0.0
         else:
             self.evaluations += 1
+            probe = self._probe
             if probe.enabled:
-                probe.on_frequency_eval(cache_hit=False)
                 span = probe.begin_span(
                     "frequency.eval",
                     log=self._log.name,

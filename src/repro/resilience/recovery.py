@@ -4,9 +4,8 @@
 :class:`~repro.core.stats.SearchStats` plays for the matchers: every
 degradation, quarantine, invariant check, divergence and rebuild is
 counted, so an operator can tell a healthy stream (all zeros) from one
-that is silently limping (rebuilds climbing) at a glance.  The
-evaluation layer renders these through
-:func:`~repro.evaluation.reporting.format_recovery_stats`.
+that is silently limping (rebuilds climbing) at a glance.  They render
+through :func:`~repro.obs.report.format_observability_report`.
 """
 
 from __future__ import annotations

@@ -195,9 +195,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "request served",
                 extra={"route": _route_label(verb, parts), "status": status},
             )
-        probe = service.probe
-        if probe.enabled and status:
-            probe.on_http_request(_route_label(verb, parts), status)
+        if status:
+            service.probe.count(
+                "repro_service_http_requests_total",
+                route=_route_label(verb, parts),
+                status=str(status),
+            )
 
     def _route(self, verb: str, parts: list[str], service) -> bool:
         if verb == "GET":
@@ -281,8 +284,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 quarantine=service.quarantine,
             )
             entry = service.registry.register(parts[1], log, source="api")
-            if service.probe.enabled:
-                service.probe.on_file_ingested("registered")
+            service.probe.count(
+                "repro_service_files_total", outcome="registered"
+            )
             return self._json(201, entry.to_payload())
         if parts == ["jobs"]:
             options = self._body_json()

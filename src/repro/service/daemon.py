@@ -363,8 +363,9 @@ class MatchingService:
                             "error": (outcome.error or "")[:300],
                         },
                     )
-                if self.probe.enabled:
-                    self.probe.on_job_retry(outcome.kind)
+                self.probe.count(
+                    "repro_service_job_retries_total", kind=outcome.kind
+                )
             else:
                 self._poison(job, outcome)
                 finished.append(job_id)
@@ -403,8 +404,9 @@ class MatchingService:
                 "job poisoned into quarantine",
                 extra={"kind": outcome.kind, "attempts": job.attempts},
             )
-        if self.probe.enabled:
-            self.probe.on_job_poisoned(outcome.kind)
+        self.probe.count(
+            "repro_service_jobs_poisoned_total", kind=outcome.kind
+        )
 
     def _update_readiness(self) -> None:
         """Recompute the /readyz verdict from queue and pool state."""
@@ -436,8 +438,7 @@ class MatchingService:
         except QueueFullError:
             self.recovery.backpressure_rejections += 1
             self.readiness.mark("queue-saturated")
-            if self.probe.enabled:
-                self.probe.on_backpressure()
+            self.probe.count("repro_service_backpressure_total")
             raise
         self.wakeup.set()
         return job

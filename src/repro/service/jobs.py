@@ -228,9 +228,10 @@ class JobQueue:
             self._jobs[job.job_id] = job
             self._order.append(job.job_id)
             depth = self._depth_locked()
-        if self._probe.enabled:
-            self._probe.on_job_submitted(options.method)
-            self._probe.on_queue_depth(depth)
+        self._probe.count(
+            "repro_service_jobs_submitted_total", kind=options.method
+        )
+        self._probe.gauge("repro_service_queue_depth", depth)
         return job
 
     def rematch(self, job_id: str) -> MatchJob:
@@ -312,8 +313,7 @@ class JobQueue:
             if worker_died:
                 job.worker_deaths += 1
             snapshot = replace(job)
-        if self._probe.enabled:
-            self._probe.on_queue_depth(self.depth)
+        self._probe.gauge("repro_service_queue_depth", self.depth)
         return snapshot
 
     def _finalize(
@@ -332,9 +332,11 @@ class JobQueue:
             job.elapsed_seconds = elapsed
             method = job.options.method
             depth = self._depth_locked()
-        if self._probe.enabled:
-            self._probe.on_job_finished(method, state, elapsed)
-            self._probe.on_queue_depth(depth)
+        self._probe.count(
+            "repro_service_jobs_finished_total", kind=method, state=state
+        )
+        self._probe.observe("repro_service_job_seconds", elapsed)
+        self._probe.gauge("repro_service_queue_depth", depth)
 
     # ------------------------------------------------------------------
     # Views

@@ -161,8 +161,9 @@ class DirectoryWatcher:
                     "transient read error, will retry once",
                     extra={"error": str(error)},
                 )
-                if self._probe.enabled:
-                    self._probe.on_file_ingested("io-retry")
+                self._probe.count(
+                    "repro_service_files_total", outcome="io-retry"
+                )
                 return None
             self._io_retried.discard(path)
             self._quarantine_file(path, error)
@@ -178,8 +179,7 @@ class DirectoryWatcher:
             "log file ingested",
             extra={"log": name, "traces": len(log)},
         )
-        if self._probe.enabled:
-            self._probe.on_file_ingested("registered")
+        self._probe.count("repro_service_files_total", outcome="registered")
         return name
 
     def _read(self, path: Path) -> EventLog:
@@ -227,5 +227,4 @@ class DirectoryWatcher:
             "log file quarantined",
             extra={"reason": f"{type(error).__name__}: {error}"},
         )
-        if self._probe.enabled:
-            self._probe.on_file_ingested("quarantined")
+        self._probe.count("repro_service_files_total", outcome="quarantined")

@@ -44,7 +44,7 @@ from repro.core.matcher import EventMatcher, MatchResult
 from repro.log.csvio import read_csv
 from repro.log.eventlog import EventLog
 from repro.obs.probe import NULL_PROBE, Probe
-from repro.obs.telemetry import WorkerTelemetry, set_active_session
+from repro.obs.telemetry import WorkerTelemetry
 from repro.parallel.pool import current_warm_pool, get_warm_pool
 from repro.patterns.parser import parse_pattern
 from repro.resilience.supervise import (
@@ -108,7 +108,6 @@ def execute_match_job(payload: dict) -> dict:
     if telemetry_cfg:
         try:
             session = WorkerTelemetry.from_payload(telemetry_cfg)
-            set_active_session(session)
         except OSError:
             session = None  # an unwritable spool dir must not fail the job
     try:
@@ -128,12 +127,10 @@ def execute_match_job(payload: dict) -> dict:
         # the completed prefix on disk).
         if session is not None:
             session.finish(status="error")
-            set_active_session(None)
         raise
     serialized = serialize_result(result)
     if session is not None:
         serialized["telemetry"] = session.finish(status="ok")
-        set_active_session(None)
     return serialized
 
 
@@ -204,8 +201,12 @@ class WorkerPool:
         if processes:
             reused = current_warm_pool() is not None
             self._pool = get_warm_pool(processes)
-            if self.probe.enabled:
-                self.probe.on_pool_event(reused, self._pool.workers)
+            self.probe.gauge("repro_parallel_pool_reuse", float(reused))
+            self.probe.count(
+                "repro_parallel_pool_reuses_total"
+                if reused
+                else "repro_parallel_pool_spawns_total"
+            )
         else:
             self._pool = None
         self._futures: dict = {}  # future -> _InFlight
@@ -415,8 +416,7 @@ class WorkerPool:
     def _respawn(self, reason: str, kill_workers: bool = False) -> None:
         self._pool.respawn(kill_workers=kill_workers)
         self.respawns += 1
-        if self.probe.enabled:
-            self.probe.on_pool_respawn(self._pool.workers, reason)
+        self.probe.count("repro_service_pool_respawns_total", reason=reason)
 
     # ------------------------------------------------------------------
     # Shutdown

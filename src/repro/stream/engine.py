@@ -109,8 +109,8 @@ class OnlineMatcher:
         :class:`~repro.stream.deltas.DeltaState`: run cheap invariant
         checks every this-many commits (``None`` disables).
     probe:
-        Observability hooks: commit/update counters, re-match spans and
-        timings, plus everything the inner matcher reports.  Runtime-only
+        Observability primitives: commit/update counters, re-match spans
+        and timings, plus everything the inner matcher reports.  Runtime-only
         state — it is *not* checkpointed; re-attach one with
         :meth:`attach_probe` after :meth:`restore`.
     blocking:
@@ -181,6 +181,7 @@ class OnlineMatcher:
         #: totally ordered across kill/resume cycles.
         self.checkpoint_sequence = 0
         self._probe = NULL_PROBE
+        self._counting_commits = False
         if probe is not None:
             self.attach_probe(probe)
 
@@ -212,17 +213,22 @@ class OnlineMatcher:
     def attach_probe(self, probe: Probe) -> None:
         """Point the engine's hooks at ``probe`` (e.g. after a restore).
 
-        An enabled probe is also subscribed to the stream's commit
-        feed, so ``repro_stream_commits_total``/``_events_total`` track
-        every trace committed from now on.
+        The first enabled probe also subscribes the engine, once, to
+        the stream's commit feed, so the *current* probe's
+        ``repro_stream_commits_total``/``_events_total`` track every
+        trace committed from then on; a detached probe counts nothing
+        more, and a run that never attaches one pays nothing per commit.
         """
         self._probe = probe
+        if probe.enabled and not self._counting_commits:
+            self.stream.subscribe(self._count_commit)
+            self._counting_commits = True
+
+    def _count_commit(self, trace_id: int, trace) -> None:
+        probe = self._probe
         if probe.enabled:
-            self.stream.subscribe(
-                lambda trace_id, trace: probe.on_stream_commit(
-                    trace_id, len(trace)
-                )
-            )
+            probe.count("repro_stream_commits_total")
+            probe.count("repro_stream_events_total", len(trace))
 
     def current_score(self) -> float:
         """``D^N(M)`` of the current mapping at the live frequencies.
@@ -250,7 +256,18 @@ class OnlineMatcher:
         with probe.span("stream.update", num_traces=num_traces):
             record = self._update(num_traces)
         if probe.enabled:
-            probe.on_stream_update(record)
+            probe.count("repro_stream_updates_total")
+            probe.gauge("repro_stream_score", record.score)
+            drift = record.drift
+            probe.gauge(
+                "repro_stream_drift",
+                0.0 if drift != drift else min(drift, 1e9),
+            )
+            if record.rematched:
+                probe.count("repro_stream_rematches_total")
+                probe.observe(
+                    "repro_stream_rematch_seconds", record.elapsed_seconds
+                )
         return record
 
     def _update(self, num_traces: int) -> StreamUpdate:

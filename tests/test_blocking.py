@@ -221,6 +221,25 @@ class TestTieredMatch:
         }
         assert sum(tiers.values()) > 0
 
+    def test_caps_counters_sum_to_h_calls(self, gate_task, monkeypatch):
+        from repro.core.scoring import ScoreModel
+
+        calls = []
+        original_h = ScoreModel.h
+
+        def counted_h(model, mapping, unmapped_targets):
+            calls.append(model)
+            return original_h(model, mapping, unmapped_targets)
+
+        monkeypatch.setattr(ScoreModel, "h", counted_h)
+        outcome = tiered_match(
+            gate_task.log_1, gate_task.log_2, gate_task.patterns,
+            config=BlockingConfig(auto_accept=False),
+        )
+        extra = outcome.stats.extra
+        assert len(calls) > 0
+        assert extra["caps_fast_path"] + extra["caps_slow_path"] == len(calls)
+
     def test_parallel_blocked_is_identical(self, gate_task):
         # Blocked runs search their blocks serially whatever ``workers``
         # says: same answer, and no worker pool is started.

@@ -139,7 +139,10 @@ class TestCliObservability:
         output = capsys.readouterr().out
         assert repro.__version__ in output
         assert "pattern-tight" in output  # methods listed
-        assert "on_expansion" in output  # probe hooks listed
+        assert (  # the probe primitives are listed
+            "probe primitives: begin_span, count, end_span, gauge, "
+            "observe, span" in output
+        )
         assert "--trace" in output  # flag summary
 
     def test_match_writes_chrome_trace_and_prometheus(

@@ -10,6 +10,7 @@ from repro.obs.metrics import (
     record_counts,
     sanitize_metric_name,
 )
+from repro.obs.probe import ObservabilityProbe
 
 
 class TestPrimitives:
@@ -157,28 +158,46 @@ class TestJsonSnapshot:
 
 class TestRecordCounts:
     def test_feeds_flat_dict_as_counters(self):
-        registry = MetricsRegistry()
+        probe = ObservabilityProbe()
         record_counts(
-            registry,
-            {"expanded_nodes": 5, "score": 1.5, "name": "skip-me",
-             "flag": True, "negative": -3},
-            prefix="repro_stats_",
+            probe,
+            {"processed_mappings": 5, "score": 1.5, "name": "skip-me",
+             "flag": True, "negative": -3, "label_updates": 0,
+             "expanded_nodes": 4, "bigram_queries": 2,
+             "automaton_builds": 1, "automaton_hits": 2},
         )
-        counters = registry.snapshot()["counters"]
-        assert counters["repro_stats_expanded_nodes"] == 5
+        counters = probe.metrics.snapshot()["counters"]
+        assert counters["repro_stats_processed_mappings"] == 5
         assert counters["repro_stats_score"] == 1.5
-        # Strings, bools and negatives produce no series.
+        # Strings, bools, zeros and negatives produce no series.
         assert "repro_stats_name" not in counters
         assert "repro_stats_flag" not in counters
         assert "repro_stats_negative" not in counters
+        assert "repro_stats_label_updates" not in counters
+        # Quantities with a live-metric name publish under it alone.
+        assert counters["repro_search_expansions_total"] == 4
+        assert "repro_stats_expanded_nodes" not in counters
+        assert counters['repro_kernel_tier_total{tier="bigram"}'] == 2
+        assert counters['repro_kernel_tier_total{tier="automaton"}'] == 3
+        assert counters["repro_stats_automaton_builds"] == 1
+        text = probe.metrics.to_prometheus()
+        assert "# HELP repro_stats_processed_mappings " in text
+        assert "# HELP repro_search_expansions_total " in text
 
     def test_nested_dicts_join_prefix(self):
-        registry = MetricsRegistry()
+        probe = ObservabilityProbe()
         record_counts(
-            registry, {"extra": {"degraded_runs": 2}}, prefix="repro_stats_"
+            probe,
+            {"extra": {"degraded_runs": 2, "caps_fast_path": 7,
+                       "caps_slow_path": 1, "parallel_steals": 3}},
         )
-        counters = registry.snapshot()["counters"]
+        counters = probe.metrics.snapshot()["counters"]
         assert counters["repro_stats_extra_degraded_runs"] == 2
+        assert counters['repro_bounds_caps_total{path="fast"}'] == 7
+        assert counters['repro_bounds_caps_total{path="slow"}'] == 1
+        assert counters["repro_parallel_steals_total"] == 3
+        assert not any(key.startswith("repro_stats_extra_caps")
+                       for key in counters)
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)

@@ -1,6 +1,6 @@
 """Unit tests for the probe seam: null defaults, the live probe wired
-through real matcher/stream runs, heartbeats, and the SearchStats
-compatibility fixes that feed the registry."""
+through real matcher/stream runs, heartbeats, the one-place publishing
+of SearchStats counters, and the SearchStats compatibility fixes."""
 
 import json
 from pathlib import Path
@@ -9,10 +9,10 @@ import pytest
 
 from repro import EventLog, match, parse_pattern
 from repro.core.stats import SearchStats
+from repro.datagen import generate_reallike
 from repro.obs import (
     NULL_PROBE,
     MetricsRegistry,
-    NullProbe,
     ObservabilityProbe,
     Probe,
     ProgressReporter,
@@ -37,19 +37,24 @@ class TestNullProbe:
     def test_disabled_and_all_hooks_noop(self):
         probe = NULL_PROBE
         assert probe.enabled is False
-        assert NullProbe is Probe
+        assert isinstance(probe, Probe)
+        primitives = sorted(
+            name
+            for name, value in vars(Probe).items()
+            if callable(value) and not name.startswith("_")
+        )
+        assert primitives == [
+            "begin_span", "count", "end_span", "gauge", "observe", "span",
+        ]
         with probe.span("anything", attr=1) as inner:
             assert inner is None
         token = probe.begin_span("x")
         assert token is None
-        probe.end_span(token)
-        probe.on_expansion(1, 2, None, None)
-        probe.on_incumbent(1.0, 0.5)
-        probe.on_heuristic_pass(0, 1.0)
-        probe.on_frequency_eval(True)
-        probe.on_kernel_tier("bigram")
-        probe.on_stream_commit(0, 5)
-        probe.record_search_stats(SearchStats())
+        assert probe.end_span(token) is None
+        assert probe.count("repro_x_total") is None
+        assert probe.count("repro_x_total", 3, tier="bigram") is None
+        assert probe.gauge("repro_x", 1.5) is None
+        assert probe.observe("repro_x_seconds", 0.25, kind="exact") is None
 
     def test_null_span_is_reusable(self):
         first = NULL_PROBE.span("a")
@@ -129,6 +134,81 @@ class TestLiveProbeOnRealMatch:
         assert "processed" in text or "expansions" in text
 
 
+class TestOneCountOnePlace:
+    """Each SearchStats quantity reaches the registry under one name."""
+
+    #: ``(published series, its former twins, SearchStats value)`` for
+    #: every quantity with a live-metric name.
+    QUANTITIES = (
+        ("repro_search_expansions_total",
+         ("repro_stats_expanded_nodes",),
+         lambda s: s.expanded_nodes),
+        ("repro_search_incumbent_updates_total",
+         ("repro_stats_incumbent_updates",),
+         lambda s: s.incumbent_updates),
+        ("repro_frequency_evaluations_total",
+         ("repro_stats_frequency_evaluations",),
+         lambda s: s.frequency_evaluations),
+        ("repro_frequency_cache_hits_total",
+         ("repro_stats_frequency_cache_hits",),
+         lambda s: s.frequency_cache_hits),
+        ('repro_bounds_caps_total{path="fast"}',
+         ("repro_stats_extra_caps_fast_path",),
+         lambda s: s.extra["caps_fast_path"]),
+        ('repro_kernel_tier_total{tier="popcount"}',
+         ("repro_stats_popcount_queries",),
+         lambda s: s.popcount_queries),
+        ('repro_kernel_tier_total{tier="bigram"}',
+         ("repro_stats_bigram_queries",),
+         lambda s: s.bigram_queries),
+        ('repro_kernel_tier_total{tier="automaton"}',
+         (),
+         lambda s: s.automaton_builds + s.automaton_hits),
+    )
+
+    #: Every former twin name; none may exist any more.
+    DROPPED = (
+        "repro_stats_expanded_nodes",
+        "repro_stats_incumbent_updates",
+        "repro_stats_frequency_evaluations",
+        "repro_stats_extra_caps_fast_path",
+        "repro_stats_extra_caps_slow_path",
+        "repro_stats_extra_parallel_chunks",
+        "repro_stats_extra_parallel_steals",
+    )
+
+    @pytest.fixture(scope="class")
+    def probed_run(self):
+        task = generate_reallike(num_traces=300, seed=7).project_events(7)
+        probe = ObservabilityProbe()
+        result = match(
+            task.log_1, task.log_2, patterns=task.patterns,
+            method="pattern-tight", probe=probe,
+        )
+        return result.stats, probe.metrics.snapshot()["counters"]
+
+    def test_each_quantity_under_one_name_equal_to_stats(self, probed_run):
+        stats, counters = probed_run
+        assert stats.expanded_nodes == 257
+        for name, twins, value_of in self.QUANTITIES:
+            assert [key for key in (name, *twins) if key in counters] == [
+                name
+            ]
+            assert counters[name] == value_of(stats) > 0, name
+
+    def test_no_dropped_twin_exists(self, probed_run):
+        _, counters = probed_run
+        for name in self.DROPPED:
+            assert name not in counters, name
+
+    def test_zero_values_publish_nothing(self, probed_run):
+        stats, counters = probed_run
+        assert stats.naive_queries == 0 and stats.label_updates == 0
+        assert 'repro_kernel_tier_total{tier="naive"}' not in counters
+        assert "repro_stats_label_updates" not in counters
+        assert all(value > 0 for value in counters.values())
+
+
 class TestLiveProbeOnStream:
     REFERENCE = EventLog(["ABCD"] * 8 + ["ACBD"] * 4, name="ref")
     FEED = ["wxyz"] * 8 + ["wyxz"] * 4
@@ -156,6 +236,28 @@ class TestLiveProbeOnStream:
         )
         assert counters["repro_stream_updates_total"] == 1
         assert counters["repro_stream_rematches_total"] == 1
+
+    def test_swapped_probe_stops_counting_and_reattach_counts_once(self):
+        first = ObservabilityProbe()
+        second = ObservabilityProbe()
+        engine, stream = self._engine(first)
+        engine.attach_probe(second)
+        engine.attach_probe(second)
+        stream.extend(self.FEED)
+
+        def commits(probe):
+            counters = probe.metrics.snapshot()["counters"]
+            return counters.get("repro_stream_commits_total", 0)
+
+        assert len(self.FEED) == 12
+        assert commits(first) == 0
+        assert commits(second) == len(self.FEED)
+
+    def test_null_probe_run_never_subscribes(self):
+        engine, stream = self._engine()
+        listeners = len(stream._listeners)
+        engine.attach_probe(NULL_PROBE)
+        assert len(stream._listeners) == listeners
 
     def test_probe_is_runtime_state_not_checkpointed(self):
         probe = ObservabilityProbe(metrics=MetricsRegistry())
@@ -197,6 +299,23 @@ class TestProgressReporter:
         )
         assert lines == [
             "[obs] 500 expansions (50/s), frontier 42, "
+            "incumbent 1.2500, gap<=0.1250"
+        ]
+
+    def test_gauge_updates_drive_heartbeats(self):
+        times = iter([0.0, 1.0, 10.0])
+        lines = []
+        reporter = ProgressReporter(
+            interval=5.0, sink=lines.append, clock=lambda: next(times)
+        )
+        probe = ObservabilityProbe(reporter=reporter)
+        probe.gauge("repro_search_frontier_size", 3)  # arms the clock
+        probe.gauge("repro_search_frontier_size", 5)  # 1s < interval
+        probe.gauge("repro_search_incumbent_score", 1.25)
+        probe.gauge("repro_search_bound_gap", 0.125)
+        probe.gauge("repro_search_frontier_size", 42)
+        assert lines == [
+            "[obs] 3 expansions (0/s), frontier 42, "
             "incumbent 1.2500, gap<=0.1250"
         ]
 

@@ -300,6 +300,39 @@ class TestWarmPoolReuse:
         assert stats["live"] and stats["reuses"] >= 1
         close_warm_pool()
 
+    def test_warm_runs_report_per_run_counters(self, seed_tasks):
+        # Chunks run on cached worker models; each run must report its
+        # own work, not the models' lifetime totals summed per chunk.
+        from repro.parallel import close_warm_pool
+
+        task = seed_tasks[0]
+        close_warm_pool()
+
+        def run():
+            return parallel_match(
+                task.log_1, task.log_2, task.patterns, workers=2
+            ).stats
+
+        cold = run()
+        warm = [run() for _ in range(3)]
+        close_warm_pool()
+
+        def invariant(stats):
+            # Independent of which warm worker claims which chunk.
+            return (
+                stats.extra["caps_fast_path"],
+                stats.extra["caps_slow_path"],
+                stats.expanded_nodes,
+                stats.processed_mappings,
+                stats.frequency_evaluations + stats.frequency_cache_hits,
+            )
+
+        assert invariant(warm[0]) == invariant(warm[1]) == invariant(warm[2])
+        for stats in warm:
+            # A warm worker's memo only saves evaluations.
+            assert stats.frequency_evaluations <= cold.frequency_evaluations
+            assert stats.trace_cells_scanned <= cold.trace_cells_scanned
+
 
 class TestWarmStartDominance:
     """The parent heuristic seed + dominance pruning (PR 7 tentpole).

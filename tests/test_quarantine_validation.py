@@ -1,9 +1,11 @@
 """Unit tests for repro.resilience validation, quarantine and reporting."""
 
+import re
+
 import pytest
 
-from repro.evaluation.reporting import format_recovery_stats
 from repro.log.events import Trace
+from repro.obs.report import format_observability_report
 from repro.resilience.quarantine import (
     QuarantineRecord,
     QuarantineStore,
@@ -173,7 +175,7 @@ class TestRecoveryStats:
         stats = RecoveryStats(quarantined_traces=2, rebuilds=1)
         store = QuarantineStore()
         store.add(QuarantineRecord(kind="trace", reason="empty trace"))
-        text = format_recovery_stats(stats, quarantine=store)
-        assert "quarantined 2" in text
-        assert "rebuilds 1" in text
+        text = format_observability_report(recovery=stats, quarantine=store)
+        assert re.search(r"^  quarantined_traces +2$", text, re.MULTILINE)
+        assert re.search(r"^  rebuilds +1$", text, re.MULTILINE)
         assert "empty trace" in text

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import urllib.error
 import urllib.request
@@ -461,23 +462,23 @@ class TestWatcherIORetry:
 
 
 # ----------------------------------------------------------------------
-# Reporting: supervision counters surface in format_recovery_stats
+# Reporting: supervision counters surface in the observability report
 # ----------------------------------------------------------------------
 class TestSupervisionReporting:
     def test_supervision_line_appears_when_counters_fire(self):
-        from repro.evaluation.reporting import format_recovery_stats
+        from repro.obs.report import format_observability_report
 
         stats = RecoveryStats(jobs_retried=3, workers_respawned=1)
-        text = format_recovery_stats(stats)
-        assert "supervision" in text
-        assert "retries 3" in text
-        assert "respawns 1" in text
+        text = format_observability_report(recovery=stats)
+        assert re.search(r"^  jobs_retried +3$", text, re.MULTILINE)
+        assert re.search(r"^  workers_respawned +1$", text, re.MULTILINE)
 
     def test_supervision_line_absent_on_clean_runs(self):
-        from repro.evaluation.reporting import format_recovery_stats
+        from repro.obs.report import format_observability_report
 
-        text = format_recovery_stats(RecoveryStats())
-        assert "supervision" not in text
+        text = format_observability_report(recovery=RecoveryStats())
+        assert "recovery: all clear" in text
+        assert "jobs_retried" not in text
 
     def test_recovery_stats_merge_covers_new_fields(self):
         merged = RecoveryStats(jobs_retried=1, jobs_poisoned=2)

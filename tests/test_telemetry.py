@@ -268,6 +268,28 @@ class TestTracePropagationOverHTTP:
         assert "counters" not in summary
         assert summary["trace_id"] == job.trace_id
 
+    def test_metrics_carry_no_zero_or_unused_series(self, served):
+        service, api = served
+        service.submit_job("left", "right", patterns=PATTERNS)
+        service.run_until_idle()
+        with urllib.request.urlopen(api.address + "/metrics") as response:
+            text = response.read().decode()
+        samples = [
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        ]
+        worker = [(key, float(value)) for key, value in samples
+                  if key.startswith("repro_worker_")]
+        assert worker
+        assert all(value > 0 for _, value in worker), worker
+        assert not any(key.startswith("repro_worker_stats_expanded_nodes")
+                       for key, _ in worker)
+        assert not any(
+            key.startswith(("repro_stream_", "repro_parallel_"))
+            for key, _ in samples
+        )
+
     def test_healthz_reports_telemetry_and_logs_tail_serves(self, served):
         service, api = served
         with urllib.request.urlopen(api.address + "/healthz") as response:
