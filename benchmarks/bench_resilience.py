@@ -30,6 +30,7 @@ import time
 import pytest
 
 from benchmarks.conftest import bench_scale, record_bench, save_report
+from repro.core.matcher import MatchOptions
 from repro.core.scoring import build_pattern_set
 from repro.datagen import generate_reallike
 from repro.resilience.chaos import ChaosConfig, ChaosInjector
@@ -175,7 +176,8 @@ def _run_job_batch(state_dir, task, patterns, num_jobs, **service_kwargs):
     started = time.perf_counter()
     jobs = [
         service.submit_job(
-            "left", "right", patterns=patterns, method="heuristic-simple"
+            "left", "right", patterns=patterns,
+            options=MatchOptions("heuristic-simple"),
         )
         for _ in range(num_jobs)
     ]
@@ -183,9 +185,13 @@ def _run_job_batch(state_dir, task, patterns, num_jobs, **service_kwargs):
     elapsed = time.perf_counter() - started
     results = [service.jobs.get(job.job_id).result for job in jobs]
     assert all(result is not None for result in results)
-    # Wall-clock stamps differ run to run; everything else must not.
+    # Wall-clock stamps and telemetry (trace ids, worker pids, span
+    # counts) differ run to run; everything else must not.
     comparable = [
-        {k: v for k, v in result.items() if k != "elapsed_seconds"}
+        {
+            k: v for k, v in result.items()
+            if k not in ("elapsed_seconds", "telemetry")
+        }
         for result in results
     ]
     return elapsed, comparable, service

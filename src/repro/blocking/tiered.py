@@ -290,11 +290,6 @@ def tiered_match(
     )
     if probe.enabled:
         probe.gauge("repro_blocking_blocks", len(tier_targets))
-        if plan.pairs_total:
-            probe.gauge(
-                "repro_blocking_pruned_ratio",
-                1.0 - pairs_considered / plan.pairs_total,
-            )
 
     return MatchOutcome(
         Mapping(mapping),

@@ -48,6 +48,21 @@ from repro.log.events import Event
 
 _DUMMY_PREFIX = "\x00dummy"
 
+#: How far below zero a revision move's gain bound must fall before the
+#: move is rejected unscored.  A move is accepted when the float
+#: ``g(candidate) > score + 1e-12``; ``g(candidate)`` and ``score`` are
+#: each a left-to-right float sum of at most n = |P| contributions in
+#: [0, 1].  The k-th partial sum is at most k and its addition rounds
+#: by at most u·k (u = 2⁻⁵³), so each sum is within u·n(n+1)/2 of the
+#: exact sum of its terms.  The bound adds at most n differences in
+#: [-1, 1]: u per subtraction plus u·n(n+1)/2 for the additions.  Every
+#: cap is ≥ the float contribution it stands for and every subtracted
+#: term is the float ``score`` summed, so a move can pass the test only
+#: if its computed bound is ≥ −u·(1.5·n² + 2.5·n).  That is above
+#: −1e-6 for every n up to 75,000 patterns, far past what a revision
+#: pass of O(|V|²) full-``g`` scorings can run.
+MOVE_BOUND_MARGIN = 1e-6
+
 
 def sanitize_warm_start(
     warm: MappingABC[Event, Event] | None,
@@ -244,8 +259,21 @@ class AdvancedHeuristicMatcher:
         targets: list[Event],
         stats: SearchStats,
     ) -> tuple[dict[Event, Event], float]:
+        """Pairwise swaps and re-assignments, accepted on realized score.
+
+        Every move counts as a processed mapping.  A move only changes
+        the contributions of the fully mapped patterns in ``I_p`` of its
+        moved sources, so Σ ``contribution_cap`` − current contribution
+        over those patterns bounds its gain from above; a move whose
+        bound is below −:data:`MOVE_BOUND_MARGIN` cannot pass the
+        acceptance test and is rejected without scanning a trace.  Every
+        other move is scored with the full ``g``, exactly as if no bound
+        existed.
+        """
         model = self.model
         probe = model.probe
+        # Contributions under the current ``mapping``; reset on accept.
+        current: dict = {}
         for sweep in range(self.max_refinement_passes):
             if probe.enabled:
                 probe.count("repro_heuristic_passes_total")
@@ -261,18 +289,28 @@ class AdvancedHeuristicMatcher:
                         candidate[first],
                     )
                     stats.processed_mappings += 1
+                    if self._gain_bound(
+                        mapping, candidate, (first, second), current
+                    ) < -MOVE_BOUND_MARGIN:
+                        continue
                     candidate_score = model.g(candidate, stats)
                     if candidate_score > score + 1e-12:
                         mapping, score = candidate, candidate_score
+                        current = {}
                         improved = True
             for source in sources:
                 for target in unused:
                     candidate = dict(mapping)
                     candidate[source] = target
                     stats.processed_mappings += 1
+                    if self._gain_bound(
+                        mapping, candidate, (source,), current
+                    ) < -MOVE_BOUND_MARGIN:
+                        continue
                     candidate_score = model.g(candidate, stats)
                     if candidate_score > score + 1e-12:
                         mapping, score = candidate, candidate_score
+                        current = {}
                         improved = True
                         unused = [
                             t for t in targets if t not in mapping.values()
@@ -280,6 +318,38 @@ class AdvancedHeuristicMatcher:
             if not improved:
                 break
         return mapping, score
+
+    def _gain_bound(
+        self,
+        mapping: dict[Event, Event],
+        candidate: dict[Event, Event],
+        moved: tuple[Event, ...],
+        current: dict,
+    ) -> float:
+        """Upper bound on ``g(candidate) − g(mapping)`` for one move.
+
+        Only the fully mapped patterns holding a moved source can change
+        (a move keeps the mapped source set), each at most from its
+        current contribution — cached in ``current`` — to its
+        :meth:`~repro.core.scoring.ScoreModel.contribution_cap`.
+        """
+        model = self.model
+        mapped = mapping.keys()
+        bound = 0.0
+        for position, source in enumerate(moved):
+            for pattern in model.index.involving(source):
+                events = model.event_set(pattern)
+                if not events <= mapped:
+                    continue
+                if position and moved[0] in events:
+                    continue  # a swap's shared pattern, already counted
+                before = current.get(pattern)
+                if before is None:
+                    before = current[pattern] = model.contribution(
+                        pattern, mapping
+                    )
+                bound += model.contribution_cap(pattern, candidate) - before
+        return bound
 
     # ------------------------------------------------------------------
     # Faithful strategy: Algorithm 3 literally

@@ -257,6 +257,42 @@ class ScoreModel:
         frequency_2 = self.evaluator_2.mapped_frequency(pattern, mapping)
         return frequency_similarity(self._f1[pattern], frequency_2)
 
+    def contribution_cap(
+        self, pattern: Pattern, mapping: MappingABC[Event, Event]
+    ) -> float:
+        """An upper bound on ``d(p)`` under ``mapping`` that scans no trace.
+
+        Patterns of one or two events get their exact contribution — a
+        kernel popcount or bigram query.  For longer patterns: 0 when an
+        edge of the mapped pattern graph is missing from ``G2``
+        (Proposition 3); otherwise ``f2(M(p))`` is at most the smallest
+        vertex weight among the images (a matching trace contains every
+        image) and the ``G2`` weight of every mandatory edge's image
+        (every allowed order holds that consecutive pair, so no ω
+        factor).  All three are counts over the same ``|L|``, so the
+        capped frequency is ≥ the realized one in floats too, and ``sim``
+        is monotone below ``f1``.
+        """
+        events = self._event_sets[pattern]
+        if len(events) <= 2:
+            return self.contribution(pattern, mapping)
+        graph_2 = self.graph_2
+        for source, target in self._pattern_edges[pattern]:
+            if not graph_2.has_edge(mapping[source], mapping[target]):
+                return 0.0
+        frequency_cap = min(
+            graph_2.vertex_weight(mapping[event]) for event in events
+        )
+        for source, target in self._mandatory_edges[pattern]:
+            frequency_cap = min(
+                frequency_cap,
+                graph_2.edge_weight(mapping[source], mapping[target]),
+            )
+        frequency_1 = self._f1[pattern]
+        if frequency_cap <= frequency_1:
+            return frequency_similarity(frequency_1, frequency_cap)
+        return 1.0
+
     def g_increment(
         self,
         new_source: Event,

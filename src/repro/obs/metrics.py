@@ -366,7 +366,7 @@ METRIC_HELP = {
 #: Prefix and help of the ``SearchStats`` fields published under their
 #: own names (:func:`record_counts`).
 STATS_PREFIX = "repro_stats_"
-STATS_HELP = "Search-statistics counter mirrored from SearchStats"
+STATS_HELP = "Search statistic mirrored from SearchStats"
 
 #: The ``SearchStats`` quantities that are published under a search,
 #: frequency, kernel, bounds or parallel name instead of the default
@@ -398,6 +398,9 @@ STATS_RENAMED = {
     "repro_stats_extra_caps_slow_path": (
         "repro_bounds_caps_total", {"path": "slow"}
     ),
+    "repro_stats_extra_blocking_pruned_ratio": (
+        "repro_blocking_pruned_ratio", {}
+    ),
     "repro_stats_extra_parallel_chunks": ("repro_parallel_chunks_total", {}),
     "repro_stats_extra_parallel_steals": ("repro_parallel_steals_total", {}),
 }
@@ -411,16 +414,19 @@ def help_for(name: str) -> str:
 
 
 def record_counts(probe, counts: dict, prefix: str = STATS_PREFIX) -> None:
-    """Publish a finished run's counters through ``probe.count``.
+    """Publish a finished run's counters and values through ``probe``.
 
     ``counts`` is a flat ``{name: number}`` dict — ``SearchStats.to_dict()``
     — whose nested dicts (``extra``) recurse with their key joined into
     the prefix.  This is the one place a ``SearchStats`` quantity reaches
     the registry: each publishes once, under its :data:`STATS_RENAMED`
-    name or else as ``<prefix><field>``.  The automaton kernel tier is
-    the automata built plus those reused.  Zero, negative, boolean and
-    non-numeric values publish nothing, so a series only exists once
-    something was counted.
+    name or else as ``<prefix><field>``.  Integers are counts and add to
+    a counter; zero and negative counts publish nothing, so a counter
+    only exists once something was counted.  Floats (scores, gaps,
+    ratios, seconds) are per-run values and set a gauge, zero included,
+    so the gauge holds the last run's value rather than a sum over runs.
+    The automaton kernel tier is the automata built plus those reused.
+    Boolean and non-numeric values publish nothing.
     """
     automaton = counts.get("automaton_builds", 0) + counts.get(
         "automaton_hits", 0
@@ -433,8 +439,12 @@ def record_counts(probe, counts: dict, prefix: str = STATS_PREFIX) -> None:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
-        if value <= 0:
+        gauge = isinstance(value, float)
+        if not gauge and value <= 0:
             continue
         name = sanitize_metric_name(f"{prefix}{key}")
         name, labels = STATS_RENAMED.get(name, (name, {}))
-        probe.count(name, value, **labels)
+        if gauge:
+            probe.gauge(name, value, **labels)
+        else:
+            probe.count(name, value, **labels)

@@ -18,6 +18,8 @@ uninterrupted session.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.obs.probe import NULL_PROBE, Probe
@@ -48,7 +50,10 @@ class SessionManager:
         self.checkpoint_dir = Path(checkpoint_dir)
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine = quarantine
-        self._sessions: dict[str, OnlineMatcher] = {}
+        #: Each session with its own lock: its appends, update cycle,
+        #: status and checkpoint touch the same live log and delta state,
+        #: and the HTTP server runs each request on its own thread.
+        self._sessions: dict[str, tuple[OnlineMatcher, threading.Lock]] = {}
         self._lock = threading.Lock()
         self._probe = probe if probe is not None else NULL_PROBE
 
@@ -93,15 +98,25 @@ class SessionManager:
         with self._lock:
             if name in self._sessions:
                 raise ValueError(f"session {name!r} already exists")
-            self._sessions[name] = engine
+            self._sessions[name] = (engine, threading.Lock())
         return engine
 
-    def get(self, name: str) -> OnlineMatcher:
+    def _entry(self, name: str) -> tuple[OnlineMatcher, threading.Lock]:
         with self._lock:
-            engine = self._sessions.get(name)
-        if engine is None:
+            entry = self._sessions.get(name)
+        if entry is None:
             raise UnknownSessionError(f"no session named {name!r}")
-        return engine
+        return entry
+
+    def get(self, name: str) -> OnlineMatcher:
+        return self._entry(name)[0]
+
+    @contextmanager
+    def _locked(self, name: str) -> Iterator[OnlineMatcher]:
+        """Session ``name``'s engine, held under the session's lock."""
+        engine, lock = self._entry(name)
+        with lock:
+            yield engine
 
     def names(self) -> list[str]:
         with self._lock:
@@ -116,12 +131,12 @@ class SessionManager:
     # ------------------------------------------------------------------
     def append(self, name: str, traces) -> dict:
         """Feed whole traces into a session and run one update cycle."""
-        engine = self.get(name)
-        accepted = 0
-        for trace in traces:
-            engine.stream.append_trace(trace)
-            accepted += 1
-        update = engine.update()
+        with self._locked(name) as engine:
+            accepted = 0
+            for trace in traces:
+                engine.stream.append_trace(trace)
+                accepted += 1
+            update = engine.update()
         return {
             "accepted_traces": accepted,
             "num_traces": update.num_traces,
@@ -131,23 +146,24 @@ class SessionManager:
         }
 
     def status(self, name: str) -> dict:
-        engine = self.get(name)
-        mapping = engine.mapping
-        return {
-            "name": name,
-            "reference": engine.reference.name,
-            "num_traces": len(engine.stream.log),
-            "updates": len(engine.history),
-            "rematches": sum(1 for u in engine.history if u.rematched),
-            "score": engine.history[-1].score if engine.history else None,
-            "mapping": None
-            if mapping is None
-            else {
-                str(source): str(target)
-                for source, target in sorted(mapping.as_dict().items())
-            },
-            "checkpoint_sequence": engine.checkpoint_sequence,
-        }
+        with self._locked(name) as engine:
+            mapping = engine.mapping
+            history = engine.history
+            return {
+                "name": name,
+                "reference": engine.reference.name,
+                "num_traces": len(engine.stream.log),
+                "updates": len(history),
+                "rematches": sum(1 for u in history if u.rematched),
+                "score": history[-1].score if history else None,
+                "mapping": None
+                if mapping is None
+                else {
+                    str(source): str(target)
+                    for source, target in sorted(mapping.as_dict().items())
+                },
+                "checkpoint_sequence": engine.checkpoint_sequence,
+            }
 
     # ------------------------------------------------------------------
     # Persistence
@@ -156,7 +172,8 @@ class SessionManager:
         return self.checkpoint_dir / f"{name}.json"
 
     def checkpoint(self, name: str) -> Path:
-        return save_checkpoint(self.get(name), self._checkpoint_path(name))
+        with self._locked(name) as engine:
+            return save_checkpoint(engine, self._checkpoint_path(name))
 
     def checkpoint_all(self) -> list[str]:
         """Checkpoint every session; returns the names saved."""
@@ -175,7 +192,7 @@ class SessionManager:
             engine = load_checkpoint(path)
             name = path.stem
             with self._lock:
-                self._sessions[name] = engine
+                self._sessions[name] = (engine, threading.Lock())
             if self._probe.enabled:
                 engine.attach_probe(self._probe)
             restored.append(name)

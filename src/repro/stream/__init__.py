@@ -15,7 +15,8 @@ finished log; this package serves *live* event traffic instead:
   maintained frequencies, and re-matches (warm-started) only when drift
   exceeds a threshold;
 * :class:`~repro.stream.snapshots.LogSnapshot` — frozen point-in-time
-  views handed to the existing batch matchers unchanged.
+  views for batch consumers outside the engine, which re-matches on the
+  live log.
 """
 
 from repro.stream.deltas import DeltaState, DeltaVerificationError

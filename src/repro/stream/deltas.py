@@ -98,7 +98,6 @@ class DeltaState:
     ):
         if check_every is not None and check_every < 1:
             raise ValueError("check_every must be positive or None")
-        self._stream = stream
         self._log = stream.log
         self._log.ensure_statistics()
         self._trace_index = TraceIndex(self._log)
@@ -201,10 +200,6 @@ class DeltaState:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    @property
-    def stream(self) -> StreamingLog:
-        return self._stream
-
     @property
     def trace_index(self) -> TraceIndex:
         """The incrementally maintained ``I_t`` (absorbed up to date)."""

@@ -25,6 +25,7 @@ drift/re-match report.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
@@ -218,17 +219,23 @@ class OnlineMatcher:
         ``repro_stream_commits_total``/``_events_total`` track every
         trace committed from then on; a detached probe counts nothing
         more, and a run that never attaches one pays nothing per commit.
+        The subscription holds the engine weakly: the stream must not
+        keep its engine alive, or the pair would be a reference cycle
+        that only a full garbage collection frees.
         """
         self._probe = probe
         if probe.enabled and not self._counting_commits:
-            self.stream.subscribe(self._count_commit)
-            self._counting_commits = True
+            engine = weakref.ref(self)
 
-    def _count_commit(self, trace_id: int, trace) -> None:
-        probe = self._probe
-        if probe.enabled:
-            probe.count("repro_stream_commits_total")
-            probe.count("repro_stream_events_total", len(trace))
+            def count_commit(trace_id: int, trace) -> None:
+                owner = engine()
+                probe = owner._probe if owner is not None else NULL_PROBE
+                if probe.enabled:
+                    probe.count("repro_stream_commits_total")
+                    probe.count("repro_stream_events_total", len(trace))
+
+            self.stream.subscribe(count_commit)
+            self._counting_commits = True
 
     def current_score(self) -> float:
         """``D^N(M)`` of the current mapping at the live frequencies.
@@ -312,13 +319,18 @@ class OnlineMatcher:
         return abs(score - self._baseline) / self._baseline
 
     def _rematch(self, num_traces: int, reason: str) -> StreamUpdate:
-        snapshot = self.stream.snapshot()
+        # The live log, not a snapshot: it already keeps its alphabet,
+        # vertex/edge counts and interner current under append, so the
+        # matcher re-derives none of them.  The re-match runs inside
+        # update(), between appends; an append during it would surface
+        # as StaleIndexError, never as a silently wrong frequency.
+        live = self.stream.log
         matcher = EventMatcher(
-            self.reference, snapshot, patterns=self.complex_patterns
+            self.reference, live, patterns=self.complex_patterns
         )
         exact = (
             len(self.reference.alphabet()) <= self.exact_cutoff
-            and len(snapshot.alphabet()) <= self.exact_cutoff
+            and len(live.alphabet()) <= self.exact_cutoff
         )
         previous = self._mapping
         drift_before = self._relative_drift(self.current_score())

@@ -14,7 +14,8 @@ unit of consistency:
   derived state fails loudly.
 
 :meth:`StreamingLog.snapshot` hands out frozen point-in-time copies for
-the existing batch matchers, which need no changes to consume them.
+batch consumers outside the online engine (which re-matches on the live
+log); batch matchers need no changes to consume them.
 
 Hardened ingestion: construct the stream with a
 :class:`~repro.resilience.validation.TraceValidator` and commits are

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.core.matcher import match
+from repro.datagen import generate_reallike
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -166,9 +168,12 @@ class TestRecordCounts:
              "expanded_nodes": 4, "bigram_queries": 2,
              "automaton_builds": 1, "automaton_hits": 2},
         )
-        counters = probe.metrics.snapshot()["counters"]
+        snapshot = probe.metrics.snapshot()
+        counters = snapshot["counters"]
         assert counters["repro_stats_processed_mappings"] == 5
-        assert counters["repro_stats_score"] == 1.5
+        # A float is a per-run value: it sets a gauge, never a counter.
+        assert snapshot["gauges"]["repro_stats_score"] == 1.5
+        assert "repro_stats_score" not in counters
         # Strings, bools, zeros and negatives produce no series.
         assert "repro_stats_name" not in counters
         assert "repro_stats_flag" not in counters
@@ -198,6 +203,44 @@ class TestRecordCounts:
         assert counters["repro_parallel_steals_total"] == 3
         assert not any(key.startswith("repro_stats_extra_caps")
                        for key in counters)
+
+    def test_float_values_set_gauges_holding_the_last_run(self):
+        probe = ObservabilityProbe()
+        for gap, seed_score in ((0.5, 28.4), (0.0, 30.1)):
+            record_counts(
+                probe,
+                {"extra": {"optimality_gap": gap,
+                           "parallel_seed_score": seed_score,
+                           "degraded_runs": 1}},
+            )
+        snapshot = probe.metrics.snapshot()
+        assert snapshot["gauges"]["repro_stats_extra_optimality_gap"] == 0.0
+        assert snapshot["gauges"][
+            "repro_stats_extra_parallel_seed_score"
+        ] == 30.1
+        assert snapshot["counters"]["repro_stats_extra_degraded_runs"] == 2
+
+    def test_blocked_runs_publish_per_run_values_as_gauges(self):
+        task = generate_reallike(num_traces=300, seed=7)
+        probe = ObservabilityProbe()
+        for _ in range(2):
+            result = match(
+                task.log_1, task.log_2, patterns=task.patterns,
+                blocking=True, probe=probe,
+            )
+        extra = result.stats.extra
+        text = probe.metrics.to_prometheus()
+        gauges = probe.metrics.snapshot()["gauges"]
+        for key in ("blocking_gap_cross", "blocking_elapsed_seconds"):
+            name = f"repro_stats_extra_{key}"
+            assert f"# TYPE {name} gauge" in text
+            assert gauges[name] == extra[key]
+        # The pruned ratio publishes once, under its blocking name.
+        assert "# TYPE repro_blocking_pruned_ratio gauge" in text
+        assert gauges["repro_blocking_pruned_ratio"] == (
+            extra["blocking_pruned_ratio"]
+        )
+        assert "repro_stats_extra_blocking_pruned_ratio" not in text
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)

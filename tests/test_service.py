@@ -559,6 +559,43 @@ class TestConcurrentTicks:
         assert finishes == Counter({job.job_id: 1 for job in jobs})
 
 
+class TestConcurrentSessionTraffic:
+    """Requests to one session run on separate server threads."""
+
+    def test_concurrent_appends_commit_every_trace(self, tmp_path):
+        service = make_service(tmp_path)
+        service.registry.register("ref", LEFT)
+        service.sessions.create("live", "ref", patterns=PATTERNS)
+        batch = [list("xyz"), list("xzy"), list("xy"), list("yzx"),
+                 list("xyz")]
+        errors = []
+
+        def client():
+            try:
+                for _ in range(60):
+                    service.sessions.append("live", batch)
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=client) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        engine = service.sessions.get("live")
+        assert len(engine.stream) == 900
+        assert service.sessions.status("live")["updates"] == 180
+        engine.deltas.verify()
+
+
 class TestServeCommand:
     def test_sigint_stops_a_long_interval_daemon_promptly(self, tmp_path):
         state = tmp_path / "state"

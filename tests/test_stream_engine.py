@@ -1,6 +1,8 @@
 """Tests for repro.stream.engine (OnlineMatcher) and warm-started matching."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.scoring import ScoreModel, build_pattern_set
 from repro.evaluation.reporting import format_stream_report
 from repro.log.csvio import write_csv
 from repro.log.eventlog import EventLog
+from repro.obs.probe import ObservabilityProbe
 from repro.patterns.matching import pattern_frequency
 from repro.patterns.parser import parse_pattern
 from repro.stream.engine import OnlineMatcher
@@ -172,6 +175,28 @@ class TestWarmStart:
             warm_start=stale,
         )
         assert len(result.mapping) == 4  # full mapping despite junk seed
+
+
+class TestSessionLifetime:
+    @pytest.mark.parametrize("probed", [False, True])
+    def test_finished_session_frees_without_a_collection(self, probed):
+        # Reference counting alone must free a dropped session: no
+        # stream -> listener -> engine/delta-state -> stream cycle.
+        gc.collect()
+        gc.disable()
+        try:
+            engine, stream = make_engine(
+                probe=ObservabilityProbe() if probed else None
+            )
+            stream.extend(STEADY_FEED)
+            engine.update()
+            stream.extend(SHIFTED_FEED * 3)
+            assert engine.update().rematched
+            log = weakref.ref(stream.log)
+            del engine, stream
+            assert log() is None
+        finally:
+            gc.enable()
 
 
 class TestStreamReportAndCli:
