@@ -9,7 +9,7 @@ Public entry points:
   (Algorithm 1) with pluggable bounds;
 * :class:`~repro.core.heuristic.SimpleHeuristicMatcher` and
   :class:`~repro.core.heuristic.AdvancedHeuristicMatcher` — the paper's two
-  heuristics (Section 5, Algorithms 3–4).
+  heuristics (Section 5): greedy, and θ-assignment plus revision.
 """
 
 from repro.core.astar import AStarMatcher

@@ -9,22 +9,16 @@ Two heuristics are implemented:
 * :class:`AdvancedHeuristicMatcher` — the paper's Algorithm 3 rests on
   two pillars: a *global* estimation of every pair's contribution
   (θ scores, Formula 2, solved Kuhn–Munkres-style) and the ability to
-  *revise* previously committed pairs.  The default strategy
-  (``"refine"``) realizes exactly those pillars: take the better of the
-  θ-optimal assignment (our Hungarian substrate) and the greedy run,
-  then revise it by pairwise re-assignment hill-climbing accepted on the
-  *realized* pattern normal distance.  Its result never scores below the
-  simple heuristic's, and with vertex-only patterns it is provably
-  optimal (Proposition 6: θ equals the vertex normal distance there, so
-  the phase-A assignment is already the global optimum).
-
-  ``strategy="faithful"`` instead runs Algorithm 3 literally —
-  alternating trees over the θ equality graph (Algorithm 4), augmenting
-  paths scored by ``g + h``, labels committed per augmentation.  On logs
-  whose θ matrix is nearly flat (vertex frequencies concentrated near
-  1.0) the literal algorithm's committed reroutes are driven by noise
-  and it can underperform the simple heuristic; it is kept for
-  reproduction fidelity and studied in the ablation benchmarks.
+  *revise* previously committed pairs.  This matcher realizes exactly
+  those pillars: take the better of the θ-optimal assignment (our
+  Hungarian substrate) and the greedy run, then revise it by pairwise
+  re-assignment hill-climbing accepted on the *realized* pattern normal
+  distance.  Its result never scores below the simple heuristic's, and
+  with vertex-only patterns it is provably optimal (Proposition 6: θ
+  equals the vertex normal distance there, so the phase-A assignment is
+  already the global optimum).  The paper's literal alternating-tree
+  search (Algorithms 3–4) is not implemented: measured against this
+  matcher it scored far lower at no saving in time (DESIGN.md §5).
 
 Both heuristics commit sources in the model's *anchored* order (most
 frequency-identifiable event first, then maximal dependency-graph
@@ -35,18 +29,19 @@ commit-forever heuristic has to make its well-informed decisions first.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterable, Mapping as MappingABC
 
 from repro.assignment import max_weight_assignment
 from repro.core.estimation import estimated_scores
-from repro.core.labeling import augment, build_alternating_tree, initial_labels
 from repro.core.mapping import Mapping
 from repro.core.result import MatchOutcome
 from repro.core.scoring import ScoreModel
 from repro.core.stats import SearchStats
 from repro.log.events import Event
 
-_DUMMY_PREFIX = "\x00dummy"
+#: Upper bound on hill-climbing sweeps of the revision phase.
+MAX_REFINEMENT_PASSES = 20
 
 #: How far below zero a revision move's gain bound must fall before the
 #: move is rejected unscored.  A move is accepted when the float
@@ -102,8 +97,14 @@ class SimpleHeuristicMatcher:
         model.collect_frequency_evaluations(stats)
         return MatchOutcome(Mapping(mapping), model.g(mapping), stats)
 
-    def _greedy_mapping(self, stats: SearchStats) -> dict[Event, Event]:
-        """One anchored-order greedy pass, shared with the advanced matcher."""
+    def _greedy_mapping(
+        self, stats: SearchStats, deadline: float | None = None
+    ) -> dict[Event, Event] | None:
+        """One anchored-order greedy pass, shared with the advanced matcher.
+
+        Returns ``None`` when the ``time.monotonic()`` instant
+        ``deadline`` passes before a source step.
+        """
         model = self.model
         order = model.heuristic_order()
         unmapped_targets = list(model.target_events)
@@ -112,6 +113,8 @@ class SimpleHeuristicMatcher:
 
         steps = min(len(order), len(unmapped_targets))
         for depth in range(steps):
+            if deadline is not None and time.monotonic() > deadline:
+                return None
             source = order[depth]
             best: tuple[float, float, Event] | None = None
             for target in unmapped_targets:
@@ -140,50 +143,37 @@ class AdvancedHeuristicMatcher:
     ----------
     model:
         The shared scoring model.
-    strategy:
-        ``"refine"`` (default) or ``"faithful"`` — see the module
-        docstring.
-    max_refinement_passes:
-        Upper bound on hill-climbing sweeps of the refine strategy.
     initial_mapping:
         Optional warm-start seed (e.g. the previous epoch's mapping in
-        the streaming engine).  The refine strategy considers it as a
-        third candidate alongside the θ-assignment and the greedy pass —
-        when the logs have only drifted slightly, revision starts from a
-        near-optimal point and converges in a pass or two.  Pairs whose
-        source/target fell out of the current vocabularies are dropped;
-        the ``"faithful"`` strategy ignores the seed (Algorithm 3 has no
-        warm-start notion).
+        the streaming engine), considered as a third candidate alongside
+        the θ-assignment and the greedy pass — when the logs have only
+        drifted slightly, revision starts from a near-optimal point and
+        converges in a pass or two.  Pairs whose source/target fell out
+        of the current vocabularies are dropped.
+    deadline:
+        Optional ``time.monotonic()`` instant at which the run stops
+        early, checked once per greedy source step and once per
+        revision move.  A greedy pass it cuts contributes no seed; a
+        revision it cuts returns its current accepted mapping, which is
+        always complete.  ``None`` (the default) never checks the clock.
     """
 
     def __init__(
         self,
         model: ScoreModel,
-        strategy: str = "refine",
-        max_refinement_passes: int = 20,
         initial_mapping: MappingABC[Event, Event] | None = None,
+        deadline: float | None = None,
     ):
-        if strategy not in ("refine", "faithful"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         self.model = model
-        self.strategy = strategy
-        self.max_refinement_passes = max_refinement_passes
         self.initial_mapping = sanitize_warm_start(
             initial_mapping, model.source_events, model.target_events
         )
+        self.deadline = deadline
 
     def match(self) -> MatchOutcome:
-        if not self.model.source_events or not self.model.target_events:
-            return MatchOutcome(Mapping({}), 0.0, SearchStats())
-        if self.strategy == "faithful":
-            return self._match_faithful()
-        return self._match_refine()
-
-    # ------------------------------------------------------------------
-    # Default strategy: θ-assignment + greedy, then realized-score revision
-    # ------------------------------------------------------------------
-    def _match_refine(self) -> MatchOutcome:
         model = self.model
+        if not model.source_events or not model.target_events:
+            return MatchOutcome(Mapping({}), 0.0, SearchStats())
         probe = model.probe
         stats = SearchStats()
         sources = list(model.source_events)
@@ -202,11 +192,12 @@ class AdvancedHeuristicMatcher:
         # advanced heuristic never scores below the simple one, and a
         # still-good previous mapping survives re-matching untouched.
         with probe.span("heuristic.greedy"):
-            greedy_mapping = SimpleHeuristicMatcher(model)._greedy_mapping(stats)
-        seeds = [
-            (model.g(km_mapping, stats), km_mapping),
-            (model.g(greedy_mapping, stats), greedy_mapping),
-        ]
+            greedy_mapping = SimpleHeuristicMatcher(model)._greedy_mapping(
+                stats, self.deadline
+            )
+        seeds = [(model.g(km_mapping, stats), km_mapping)]
+        if greedy_mapping is not None:
+            seeds.append((model.g(greedy_mapping, stats), greedy_mapping))
         if self.initial_mapping is not None:
             warm_mapping = self._complete(dict(self.initial_mapping), stats)
             seeds.append((model.g(warm_mapping, stats), warm_mapping))
@@ -268,13 +259,15 @@ class AdvancedHeuristicMatcher:
         bound is below −:data:`MOVE_BOUND_MARGIN` cannot pass the
         acceptance test and is rejected without scanning a trace.  Every
         other move is scored with the full ``g``, exactly as if no bound
-        existed.
+        existed.  Once ``deadline`` passes, the climb stops before its
+        next move.
         """
         model = self.model
         probe = model.probe
+        deadline = self.deadline
         # Contributions under the current ``mapping``; reset on accept.
         current: dict = {}
-        for sweep in range(self.max_refinement_passes):
+        for sweep in range(MAX_REFINEMENT_PASSES):
             if probe.enabled:
                 probe.count("repro_heuristic_passes_total")
                 probe.gauge("repro_search_incumbent_score", score)
@@ -283,6 +276,8 @@ class AdvancedHeuristicMatcher:
             unused = [t for t in targets if t not in mapping.values()]
             for i, first in enumerate(sources):
                 for second in sources[i + 1:]:
+                    if deadline is not None and time.monotonic() > deadline:
+                        return mapping, score
                     candidate = dict(mapping)
                     candidate[first], candidate[second] = (
                         candidate[second],
@@ -300,6 +295,8 @@ class AdvancedHeuristicMatcher:
                         improved = True
             for source in sources:
                 for target in unused:
+                    if deadline is not None and time.monotonic() > deadline:
+                        return mapping, score
                     candidate = dict(mapping)
                     candidate[source] = target
                     stats.processed_mappings += 1
@@ -350,101 +347,3 @@ class AdvancedHeuristicMatcher:
                     )
                 bound += model.contribution_cap(pattern, candidate) - before
         return bound
-
-    # ------------------------------------------------------------------
-    # Faithful strategy: Algorithm 3 literally
-    # ------------------------------------------------------------------
-    def _match_faithful(self) -> MatchOutcome:
-        with self.model.probe.span("heuristic.faithful"):
-            return self._match_faithful_inner()
-
-    def _match_faithful_inner(self) -> MatchOutcome:
-        model = self.model
-        stats = SearchStats()
-        sources = list(model.source_events)
-        targets = list(model.target_events)
-
-        theta = estimated_scores(model)
-        padded_sources, padded_targets = self._pad(sources, targets, theta)
-        labels = initial_labels(theta, padded_sources, padded_targets)
-        matching: dict[Event, Event] = {}
-        real_targets = set(targets)
-        order = model.heuristic_order() + [
-            source for source in padded_sources if _is_dummy(source)
-        ]
-
-        while len(matching) < len(padded_sources):
-            root = next(source for source in order if source not in matching)
-            scoring = not _is_dummy(root)
-
-            tree = build_alternating_tree(
-                root, theta, labels, matching, padded_targets
-            )
-            stats.label_updates += tree.label_updates
-            best_score = float("-inf")
-            best_matching: dict[Event, Event] | None = None
-            for path in tree.augmenting_paths(matching):
-                candidate = augment(matching, path)
-                if not scoring:
-                    # Only artificial sources remain: any augmentation is
-                    # as good as any other, commit the first.
-                    best_matching = candidate
-                    break
-                stats.processed_mappings += 1
-                real_mapping = {
-                    s: t
-                    for s, t in candidate.items()
-                    if not _is_dummy(s) and not _is_dummy(t)
-                }
-                unmapped = [
-                    t for t in real_targets if t not in real_mapping.values()
-                ]
-                score = model.g(real_mapping, stats) + model.h(
-                    real_mapping, unmapped
-                )
-                if score > best_score + 1e-12:
-                    best_score = score
-                    best_matching = candidate
-
-            assert best_matching is not None
-            matching = best_matching
-            labels = tree.labels
-
-        final = Mapping(
-            {
-                source: target
-                for source, target in matching.items()
-                if not _is_dummy(source) and not _is_dummy(target)
-            }
-        )
-        model.collect_frequency_evaluations(stats)
-        return MatchOutcome(final, model.g(final), stats)
-
-    @staticmethod
-    def _pad(
-        sources: list[Event],
-        targets: list[Event],
-        theta: dict[Event, dict[Event, float]],
-    ) -> tuple[list[Event], list[Event]]:
-        """Equalize side sizes with artificial zero-θ events.
-
-        ``theta`` is extended in place with the dummy rows/columns.
-        """
-        padded_sources = list(sources)
-        padded_targets = list(targets)
-        while len(padded_sources) < len(padded_targets):
-            dummy = f"{_DUMMY_PREFIX}:s{len(padded_sources)}"
-            padded_sources.append(dummy)
-        while len(padded_targets) < len(padded_sources):
-            dummy = f"{_DUMMY_PREFIX}:t{len(padded_targets)}"
-            padded_targets.append(dummy)
-        for source in padded_sources:
-            row = theta.setdefault(source, {})
-            for target in padded_targets:
-                if target not in row:
-                    row[target] = 0.0
-        return padded_sources, padded_targets
-
-
-def _is_dummy(event: Event) -> bool:
-    return event.startswith(_DUMMY_PREFIX)

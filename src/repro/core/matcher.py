@@ -18,7 +18,7 @@ Method names follow the paper's figures:
 ``pattern-tight``   exact A* with the Algorithm 2 / Table 2 bound
 ``pattern-simple``  exact A* with the simple 1.0-per-pattern bound
 ``heuristic-simple``    greedy single-expansion heuristic
-``heuristic-advanced``  Algorithm 3 (alternating-tree augmentation)
+``heuristic-advanced``  θ-assignment + greedy seeds, revised (§5.1)
 ``vertex``          baseline [7], vertex form
 ``vertex-edge``     baseline [7], vertex+edge form (exact search)
 ``iterative``       baseline [16]
@@ -111,7 +111,10 @@ class MatchOptions:
     gap *larger* than this threshold, the facade re-runs
     ``heuristic-advanced`` warm-started from the degraded mapping and
     keeps whichever mapping scores higher (still flagged degraded, with
-    the gap tightened by any improvement).
+    the gap tightened by any improvement).  With a ``time_budget`` the
+    rescue must finish by the run's start plus that budget: it is
+    skipped when that instant has already passed, and otherwise stops
+    there with its best complete mapping so far.
 
     ``blocking`` — run the multi-signal blocking tier ahead of the exact
     search (:mod:`repro.blocking`): partition the two vocabularies into
@@ -279,6 +282,9 @@ class EventMatcher:
         workers: int,
     ) -> MatchResult:
         started = time.perf_counter()
+        deadline = None
+        if options.time_budget is not None:
+            deadline = time.monotonic() + options.time_budget
         method = options.method
         if method in _PATTERN_METHODS:
             outcome = self._exact_search(options, warm_start, probe, workers)
@@ -288,7 +294,7 @@ class EventMatcher:
                 and outcome.gap > options.degraded_fallback
             ):
                 outcome, method = self._heuristic_rescue(
-                    outcome, method, probe
+                    outcome, method, probe, deadline
                 )
         elif method in _HEURISTIC_METHODS:
             model = ScoreModel(
@@ -393,7 +399,11 @@ class EventMatcher:
         ).match()
 
     def _heuristic_rescue(
-        self, degraded: MatchOutcome, method: str, probe: Probe
+        self,
+        degraded: MatchOutcome,
+        method: str,
+        probe: Probe,
+        deadline: float | None,
     ) -> tuple[MatchOutcome, str]:
         """Try to beat a wide-gap degraded result with the heuristic.
 
@@ -402,8 +412,14 @@ class EventMatcher:
         better realized score wins.  The result stays ``degraded`` —
         neither run proves optimality — but the gap bound tightens by
         exactly the score improvement, since the frontier upper bound
-        that produced it is unchanged.
+        that produced it is unchanged.  A rescue that returns the
+        degraded mapping itself leaves the result as it was: its score
+        differs from the search's only by summation rounding.  A
+        ``deadline`` (a ``time.monotonic()`` instant) that has passed
+        skips the rescue; otherwise the heuristic stops at it.
         """
+        if deadline is not None and time.monotonic() > deadline:
+            return degraded, method
         rescue_model = ScoreModel(
             self.log_1,
             self.log_2,
@@ -412,10 +428,10 @@ class EventMatcher:
             probe=probe,
         )
         rescue = AdvancedHeuristicMatcher(
-            rescue_model, initial_mapping=degraded.mapping
+            rescue_model, initial_mapping=degraded.mapping, deadline=deadline
         ).match()
         degraded.stats.merge(rescue.stats)
-        if rescue.score <= degraded.score:
+        if rescue.score <= degraded.score or rescue.mapping == degraded.mapping:
             return degraded, method
         tightened = max(0.0, degraded.gap - (rescue.score - degraded.score))
         outcome = MatchOutcome(

@@ -1,9 +1,10 @@
 """Search statistics collected by the matchers.
 
 The paper's efficiency figures (7c, 8c, 9c, 10c) report the number of
-*processed mappings* — child nodes generated at Line 7 of Algorithm 1 and
-augmentations evaluated at Line 6 of Algorithm 3.  The matchers record
-these counters here so the evaluation harness can reproduce those series.
+*processed mappings* — child nodes generated at Line 7 of Algorithm 1,
+and the candidate pairs and moves the heuristics score.  The matchers
+record these counters here so the evaluation harness can reproduce those
+series.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ class SearchStats:
     #: Children discarded because their upper bound could not beat the
     #: incumbent (exact search only).
     pruned_by_bound: int = 0
-    #: Label updates performed while growing alternating trees
-    #: (advanced heuristic only).
-    label_updates: int = 0
     #: Aho–Corasick automata compiled by the frequency kernel.
     automaton_builds: int = 0
     #: Frequency-kernel queries answered by a memoized automaton.

@@ -90,11 +90,6 @@ def context_fields() -> dict:
     return dict(_CONTEXT.get())
 
 
-def current_trace_id() -> str | None:
-    """The ``trace_id`` bound in the current context, if any."""
-    return dict(_CONTEXT.get()).get("trace_id")
-
-
 #: LogRecord attributes that are plumbing, not payload — anything else
 #: found on a record (i.e. passed via ``extra=``) is emitted as a field.
 _RESERVED = frozenset(

@@ -214,11 +214,6 @@ def materialize_model(handle: ModelHandle):
     return model, False
 
 
-def model_cache_stats() -> dict:
-    """This process's model-cache occupancy/evictions (tests, debugging)."""
-    return {"entries": len(_MODEL_CACHE), "evictions": _MODEL_CACHE.evictions}
-
-
 # ----------------------------------------------------------------------
 # Parent-process side
 # ----------------------------------------------------------------------

@@ -131,23 +131,6 @@ class PatternIndex:
         candidates.sort(key=self._positions.__getitem__)
         return candidates
 
-    def completed_by(self, mapped_events: Collection[Event]) -> list[Pattern]:
-        """All patterns whose events are fully inside ``mapped_events``."""
-        return [
-            pattern
-            for pattern in self._patterns
-            if pattern.event_set() <= set(mapped_events)
-        ]
-
-    def remaining(self, mapped_events: Collection[Event]) -> list[Pattern]:
-        """Patterns with at least one event outside ``mapped_events``."""
-        mapped = set(mapped_events)
-        return [
-            pattern
-            for pattern in self._patterns
-            if not pattern.event_set() <= mapped
-        ]
-
 
 def validate_patterns(
     patterns: Sequence[Pattern], alphabet: Collection[Event]

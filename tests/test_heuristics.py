@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -103,6 +104,19 @@ class TestAdvancedHeuristic:
             exact = AStarMatcher(ScoreModel(log_1, log_2, patterns)).match()
             assert advanced.score <= exact.score + 1e-9
 
+    def test_passed_deadline_leaves_only_the_assignment_and_warm_seeds(self):
+        rng = random.Random(8)
+        log_1, log_2 = random_pair(rng, 5)
+        model = ScoreModel(log_1, log_2, build_pattern_set(log_1))
+        warm = dict(zip(model.source_events, reversed(model.target_events)))
+        outcome = AdvancedHeuristicMatcher(
+            model, initial_mapping=warm, deadline=time.monotonic() - 1.0
+        ).match()
+        # Only phase A's |V1|·|V2| pairs count: no greedy step, no move.
+        assert outcome.stats.processed_mappings == 5 * 5
+        assert len(outcome.mapping.targets()) == 5
+        assert outcome.score >= model.g(warm)
+
     def test_unequal_sizes_are_padded(self):
         rng = random.Random(7)
         log_1 = random_log(rng, "ABC", 15)
@@ -112,24 +126,11 @@ class TestAdvancedHeuristic:
         assert len(outcome.mapping) == len(log_1.alphabet())
         assert outcome.mapping.targets() <= log_2.alphabet()
 
-    def test_rejects_unknown_strategy(self):
-        model = ScoreModel(EventLog(["A"]), EventLog(["1"]), [])
-        with pytest.raises(ValueError):
-            AdvancedHeuristicMatcher(model, strategy="magic")
-
-    def test_faithful_strategy_runs(self):
-        rng = random.Random(8)
-        log_1, log_2 = random_pair(rng, 4)
-        model = ScoreModel(log_1, log_2, build_pattern_set(log_1))
-        outcome = AdvancedHeuristicMatcher(model, strategy="faithful").match()
-        assert len(outcome.mapping) == 4
-
 
 class TestProposition6:
     """With vertex-only patterns the advanced heuristic is optimal."""
 
-    @pytest.mark.parametrize("strategy", ["refine", "faithful"])
-    def test_vertex_patterns_give_the_optimum(self, strategy):
+    def test_vertex_patterns_give_the_optimum(self):
         rng = random.Random(9)
         for _ in range(8):
             n = rng.randint(2, 5)
@@ -138,7 +139,7 @@ class TestProposition6:
                 log_1, include_vertices=True, include_edges=False
             )
             model = ScoreModel(log_1, log_2, patterns)
-            outcome = AdvancedHeuristicMatcher(model, strategy=strategy).match()
+            outcome = AdvancedHeuristicMatcher(model).match()
             # Brute-force the vertex-form optimum.
             best = max(
                 model.g(dict(zip(model.source_events, perm)))

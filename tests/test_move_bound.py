@@ -23,7 +23,11 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heuristic import MOVE_BOUND_MARGIN, AdvancedHeuristicMatcher
+from repro.core.heuristic import (
+    MAX_REFINEMENT_PASSES,
+    MOVE_BOUND_MARGIN,
+    AdvancedHeuristicMatcher,
+)
 from repro.core.matcher import HEURISTIC_BOUND, EventMatcher, MatchOptions
 from repro.core.scoring import ScoreModel, build_pattern_set
 from repro.core.stats import SearchStats
@@ -151,8 +155,7 @@ def reference_hill_climb(model, mapping, score, targets, stats, passes):
 class ReferenceMatcher(AdvancedHeuristicMatcher):
     def _hill_climb(self, mapping, score, targets, stats):
         return reference_hill_climb(
-            self.model, mapping, score, targets, stats,
-            self.max_refinement_passes,
+            self.model, mapping, score, targets, stats, MAX_REFINEMENT_PASSES
         )
 
 
@@ -164,7 +167,7 @@ def _climbs_agree(model: ScoreModel, seed: dict) -> None:
     pruned = matcher._hill_climb(dict(seed), score, targets, pruned_stats)
     reference = reference_hill_climb(
         model, dict(seed), score, targets, reference_stats,
-        matcher.max_refinement_passes,
+        MAX_REFINEMENT_PASSES,
     )
     assert pruned == reference
     assert pruned_stats.processed_mappings == (

@@ -8,12 +8,13 @@ harness must keep reporting DNF rows.
 """
 
 import random
+import time
 
 import pytest
 
 from repro.core.astar import AStarMatcher, SearchBudgetExceeded
 from repro.core.scoring import ScoreModel, build_pattern_set
-from repro.datagen import generate_reallike
+from repro.datagen import generate_largevocab, generate_reallike
 from repro.evaluation.harness import run_method
 from repro.log.eventlog import EventLog
 from repro.core.matcher import EventMatcher, MatchOptions, match
@@ -163,6 +164,59 @@ class TestFacade:
         result = match(log_1, log_2, patterns=patterns)
         assert not result.degraded
         assert result.gap == 0.0
+
+    @pytest.fixture(scope="class")
+    def rescue_case(self):
+        """A 32-event task, its node-budget degraded result, and how long
+        the same call takes with an unbounded rescue."""
+        task = generate_largevocab(
+            num_families=8, roles_per_family=4, num_traces=60, seed=4
+        )
+        logs = (task.log_1, task.log_2, task.patterns)
+        plain = match(*logs, method="pattern-tight", node_budget=5)
+        started = time.monotonic()
+        match(*logs, method="pattern-tight", node_budget=5,
+              degraded_fallback=0.0)
+        return logs, plain, time.monotonic() - started
+
+    def test_time_budget_bounds_the_rescue(self, rescue_case, monkeypatch):
+        logs, _, unbounded_s = rescue_case
+        # The unbounded rescue takes at least 5x this budget.
+        budget = unbounded_s / 6
+        searched = []
+        exact_search = EventMatcher._exact_search
+
+        def spy(self, *args):
+            searched.append(exact_search(self, *args))
+            return searched[-1]
+
+        monkeypatch.setattr(EventMatcher, "_exact_search", spy)
+        started = time.monotonic()
+        result = match(*logs, method="pattern-tight", time_budget=budget,
+                       degraded_fallback=0.0)
+        assert time.monotonic() - started <= 1.5 * budget
+        assert searched[0].degraded and result.degraded
+        assert result.score >= searched[0].score
+
+    def test_node_budget_rescue_stops_at_the_time_budget(self, rescue_case):
+        logs, plain, unbounded_s = rescue_case
+        # The node budget trips first; the rescue then runs into the
+        # deadline, which comes well before it would finish.
+        budget = unbounded_s / 4
+        started = time.monotonic()
+        result = match(*logs, method="pattern-tight", node_budget=5,
+                       time_budget=budget, degraded_fallback=0.0)
+        assert time.monotonic() - started <= 1.5 * budget
+        assert result.degraded
+        if result.mapping == plain.mapping:
+            # A rescue that found nothing new leaves the result as it was.
+            assert (result.method, result.score, result.gap) == (
+                plain.method, plain.score, plain.gap
+            )
+        else:
+            improvement = result.score - plain.score
+            assert improvement > 0.0
+            assert result.gap == pytest.approx(plain.gap - improvement)
 
 
 class TestHarnessStaysStrict:
