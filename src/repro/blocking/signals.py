@@ -14,9 +14,13 @@ copy of ``log_1`` and unchanged under any reordering of the traces:
   graph, capped at ``degree_cap`` (raw degrees, not normalized: a hub
   stays a hub whatever the vocabulary size);
 * **bigram signature** — the banded frequencies of the event's
-  strongest incident bigrams, read off the kernel's interned per-trace
-  bigram posting sets (:attr:`~repro.kernel.interner.EventInterner.bigram_sets`),
-  so the signature costs one pass over postings that already exist.
+  strongest incident bigrams: popcounts of the bigram posting bitsets of
+  the log's trace index (:class:`~repro.log.index.TraceIndex`), so the
+  signature costs one pass over postings that already exist.
+
+Every signal reads the log's one trace index — its interned traces and
+its posting bitsets — so computing signals builds nothing the matcher
+does not share.
 
 Everything per-event is folded into an :class:`EventSignals` value: the
 raw frequency (clustered by *gaps*, not bands — robust to global drift)
@@ -174,27 +178,24 @@ def _occurrence_entropies(log: EventLog) -> dict[int, float]:
 def _bigram_incidence(
     log: EventLog,
 ) -> tuple[dict[int, list[float]], dict[int, int], dict[int, int]]:
-    """Incident bigram frequencies and degrees from the interned postings.
+    """Incident bigram frequencies and degrees from the bigram postings.
 
     Returns, per event id, the trace-level frequencies of every bigram
     the event participates in, plus its distinct-successor (out) and
     distinct-predecessor (in) counts — exactly the dependency graph's
-    edge frequencies and degrees, read off the kernel's per-trace packed
-    bigram sets without rebuilding the graph.
+    edge frequencies and degrees, popcounted off the trace index's
+    bigram posting bitsets without rebuilding the graph.
     """
-    interner = log.interner()
-    total = interner.num_traces
-    counts: Counter[int] = Counter()
-    for bigrams in interner.bigram_sets:
-        counts.update(bigrams)
+    index = log.trace_index()
+    total = index.num_traces
     mask = (1 << BIGRAM_SHIFT) - 1
     incident: dict[int, list[float]] = {}
     out_degree: dict[int, int] = {}
     in_degree: dict[int, int] = {}
-    for packed, count in counts.items():
+    for packed, bits in index.bigram_postings.items():
         first = packed >> BIGRAM_SHIFT
         second = packed & mask
-        frequency = count / total
+        frequency = bits.bit_count() / total
         incident.setdefault(first, []).append(frequency)
         out_degree[first] = out_degree.get(first, 0) + 1
         in_degree[second] = in_degree.get(second, 0) + 1

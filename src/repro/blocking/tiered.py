@@ -122,8 +122,6 @@ def tiered_match(
     node_budget: int | None = None,
     time_budget: float | None = None,
     strict: bool = False,
-    include_vertices: bool = True,
-    include_edges: bool = True,
     probe: Probe | None = None,
 ) -> MatchOutcome:
     """Blocked exact matching (see module docstring).
@@ -138,12 +136,7 @@ def tiered_match(
         config = BlockingConfig()
     started = time.perf_counter()
     plan = build_plan(log_1, log_2, config)
-    full_patterns = build_pattern_set(
-        log_1,
-        complex_patterns=patterns,
-        include_vertices=include_vertices,
-        include_edges=include_edges,
-    )
+    full_patterns = build_pattern_set(log_1, complex_patterns=patterns)
     full_model = ScoreModel(
         log_1, log_2, full_patterns, bound=bound, probe=probe
     )

@@ -213,21 +213,14 @@ class EventMatcher:
         log_1: EventLog,
         log_2: EventLog,
         patterns: Sequence[Pattern] = (),
-        include_vertices: bool = True,
-        include_edges: bool = True,
     ):
         self.log_1 = log_1
         self.log_2 = log_2
         self.complex_patterns = tuple(patterns)
-        self.include_vertices = include_vertices
-        self.include_edges = include_edges
 
     def full_pattern_set(self) -> list[Pattern]:
         return build_pattern_set(
-            self.log_1,
-            complex_patterns=self.complex_patterns,
-            include_vertices=self.include_vertices,
-            include_edges=self.include_edges,
+            self.log_1, complex_patterns=self.complex_patterns
         )
 
     def run(
@@ -354,8 +347,6 @@ class EventMatcher:
                 self.complex_patterns,
                 bound=bound,
                 config=options.blocking,
-                include_vertices=self.include_vertices,
-                include_edges=self.include_edges,
                 probe=probe,
                 **budgets,
             )
@@ -370,8 +361,6 @@ class EventMatcher:
                 self.complex_patterns,
                 bound=bound,
                 workers=workers,
-                include_vertices=self.include_vertices,
-                include_edges=self.include_edges,
                 probe=probe,
                 **budgets,
             )

@@ -52,8 +52,6 @@ def explain_mapping(
     log_2: EventLog,
     mapping: MappingABC[Event, Event],
     patterns: Sequence[Pattern] = (),
-    include_vertices: bool = True,
-    include_edges: bool = True,
 ) -> MappingExplanation:
     """Decompose the pattern normal distance of ``mapping``.
 
@@ -61,12 +59,7 @@ def explain_mapping(
     vertices and edges of ``log_1``'s dependency graph plus the given
     complex ``patterns``.
     """
-    full_set = build_pattern_set(
-        log_1,
-        complex_patterns=patterns,
-        include_vertices=include_vertices,
-        include_edges=include_edges,
-    )
+    full_set = build_pattern_set(log_1, complex_patterns=patterns)
     evaluator_1 = PatternFrequencyEvaluator(log_1)
     evaluator_2 = PatternFrequencyEvaluator(log_2)
     mapping_dict = dict(mapping)

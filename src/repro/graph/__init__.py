@@ -7,7 +7,7 @@ behind the Proposition 3 pruning rule.
 """
 
 from repro.graph.digraph import DiGraph
-from repro.graph.dependency import dependency_graph, dependency_graph_from_counts
+from repro.graph.dependency import dependency_graph
 from repro.graph.dot import matching_to_dot, to_dot
 from repro.graph.isomorphism import (
     find_subgraph_embedding,
@@ -18,7 +18,6 @@ from repro.graph.isomorphism import (
 __all__ = [
     "DiGraph",
     "dependency_graph",
-    "dependency_graph_from_counts",
     "find_subgraph_embedding",
     "is_subgraph",
     "matching_to_dot",

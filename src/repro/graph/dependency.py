@@ -9,10 +9,7 @@ are omitted, exactly as in the paper.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.graph.digraph import DiGraph
-from repro.log.events import Event
 from repro.log.eventlog import EventLog
 
 
@@ -25,29 +22,3 @@ def dependency_graph(log: EventLog) -> DiGraph:
         graph.add_edge(source, target, log.edge_frequency(source, target))
     return graph
 
-
-def dependency_graph_from_counts(
-    vertex_counts: Mapping[Event, int],
-    edge_counts: Mapping[tuple[Event, Event], int],
-    num_traces: int,
-) -> DiGraph:
-    """Build a dependency graph directly from trace counts.
-
-    The streaming subsystem maintains raw per-event / per-pair trace
-    counts under append (they are monotone); normalizing them by the
-    current trace total yields exactly the Definition 1 graph without
-    touching the traces again.  Zero counts are omitted like everywhere
-    else.
-    """
-    graph = DiGraph()
-    if num_traces <= 0:
-        return graph
-    for event in sorted(vertex_counts):
-        count = vertex_counts[event]
-        if count > 0:
-            graph.add_vertex(event, count / num_traces)
-    for source, target in sorted(edge_counts):
-        count = edge_counts[(source, target)]
-        if count > 0:
-            graph.add_edge(source, target, count / num_traces)
-    return graph

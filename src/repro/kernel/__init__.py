@@ -8,15 +8,18 @@ package makes that loop machine-sympathetic while staying pure-python
 and stdlib-only:
 
 * :class:`~repro.kernel.interner.EventInterner` — dense integer event
-  ids; traces materialized once as immutable int tuples plus packed
-  bigram sets;
+  ids; traces materialized once as immutable int tuples (held by the
+  log's one :class:`~repro.log.index.TraceIndex`, next to its event and
+  bigram posting bitsets);
 * :class:`~repro.kernel.automaton.OrderAutomaton` — an Aho–Corasick
   automaton deciding all ω(p) allowed orders of a pattern in a single
   pass over a trace;
-* :class:`~repro.kernel.frequency.FrequencyKernel` — big-int bitset
-  posting lists (``&`` chains + ``int.bit_count()``), bigram bitsets for
-  the dominant length-2 patterns, and memoized automata for the rest,
-  with :class:`~repro.kernel.frequency.KernelCounters` observability.
+* :class:`~repro.kernel.frequency.FrequencyKernel` — three counting
+  tiers over the log's index: a posting popcount (``int.bit_count()``)
+  for single events, the ``|`` of bigram postings for the dominant
+  length-2 patterns, and ``&``-chained candidates scanned by memoized
+  automata for the rest, with
+  :class:`~repro.kernel.frequency.KernelCounters` observability.
 
 The naive evaluator survives unchanged behind ``use_kernel=False`` as
 the oracle for ablation benchmarks and property tests.

@@ -19,27 +19,30 @@ cheapest applicable first:
    that decides all ω(p) orders simultaneously (the naive path scans
    each candidate once *per order* — ``k!`` times for an AND of ``k``).
 
-All structures are append-only, mirroring the log's own contract:
-:meth:`refresh` sets bits for the newly committed traces and leaves
-everything else untouched.  Interned ids are stable under append, so
-memoized automata survive refreshes — a property the streaming engine
-leans on, where the same drift patterns are re-evaluated after every
-batch.
-
-The kernel records :class:`KernelCounters` so benchmarks and the search
-statistics can attribute wins to the tier that produced them.
+Every tier reads the log's one :class:`~repro.log.index.TraceIndex`
+(``I_t``: interned traces, event and bigram postings), looked up per
+query, so a kernel never holds a copy that could fall behind the log.
+What a kernel owns is per instance: its automata memo, its
+:class:`KernelCounters` (so benchmarks and the search statistics can
+attribute wins to the tier that produced them) and its two ablation
+switches.  Interned ids are stable under append, so memoized automata
+stay valid as the log grows — a property the streaming engine leans on,
+where the same drift patterns are re-evaluated after every batch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from repro.kernel.automaton import OrderAutomaton
-from repro.kernel.interner import BIGRAM_SHIFT, EventInterner
-from repro.log.events import Event
-from repro.log.eventlog import EventLog, StaleIndexError
-from repro.log.index import TraceIndex
+from repro.kernel.interner import BIGRAM_SHIFT
+
+if TYPE_CHECKING:
+    # Type-only: repro.log's trace index imports this package at runtime.
+    from repro.log.eventlog import EventLog
+    from repro.log.events import Event
 
 
 @dataclass
@@ -81,10 +84,8 @@ class FrequencyKernel:
     Parameters
     ----------
     log:
-        The log to count against.  The kernel attaches to the log's
-        :class:`~repro.kernel.interner.EventInterner`.
-    trace_index:
-        Optional shared ``I_t``; built from ``log`` when omitted.
+        The log to count against, through its
+        :meth:`~repro.log.eventlog.EventLog.trace_index`.
     use_automaton:
         Tier 3 ablation switch: when ``False`` candidates are scanned
         once per order with naive tuple search instead of one automaton
@@ -101,74 +102,19 @@ class FrequencyKernel:
     def __init__(
         self,
         log: EventLog,
-        trace_index: TraceIndex | None = None,
         use_automaton: bool = True,
         use_bigrams: bool = True,
         counters: KernelCounters | None = None,
     ):
-        if trace_index is not None and trace_index.log is not log:
-            raise ValueError("trace_index was built for a different log")
         self._log = log
-        self._interner: EventInterner = log.interner()
-        self._index = trace_index if trace_index is not None else TraceIndex(log)
         self._use_automaton = use_automaton
         self._use_bigrams = use_bigrams
-        self._bigram_bits: dict[int, int] = {}
-        self._synced_traces = 0
-        self._generation = log.generation
         self._automata: dict[frozenset[tuple[int, ...]], OrderAutomaton] = {}
         self.counters = counters if counters is not None else KernelCounters()
-        self._sync_bigrams()
-
-    @property
-    def log(self) -> EventLog:
-        return self._log
-
-    @property
-    def trace_index(self) -> TraceIndex:
-        return self._index
-
-    @property
-    def generation(self) -> int:
-        return self._generation
 
     @property
     def num_automata(self) -> int:
         return len(self._automata)
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def refresh(self) -> int:
-        """Absorb appended traces into every kernel structure.
-
-        Returns the number of traces absorbed.  Memoized automata are
-        *kept*: interned ids never change, so a compiled order set stays
-        valid for the grown log.
-        """
-        self._index.refresh()
-        added = self._sync_bigrams()
-        self._generation = self._log.generation
-        return added
-
-    def _sync_bigrams(self) -> int:
-        bigram_sets = self._interner.bigram_sets
-        bigram_bits = self._bigram_bits
-        start = self._synced_traces
-        for trace_id in range(start, len(bigram_sets)):
-            bit = 1 << trace_id
-            for code in bigram_sets[trace_id]:
-                bigram_bits[code] = bigram_bits.get(code, 0) | bit
-        self._synced_traces = len(bigram_sets)
-        return self._synced_traces - start
-
-    def _check_fresh(self) -> None:
-        if self._log.generation != self._generation:
-            raise StaleIndexError(
-                f"frequency kernel synced at generation {self._generation} "
-                f"but log {self._log.name!r} is at generation "
-                f"{self._log.generation}; call refresh()"
-            )
 
     # ------------------------------------------------------------------
     # Counting
@@ -179,10 +125,10 @@ class FrequencyKernel:
         """Traces containing at least one of ``orders`` as a substring.
 
         Semantically identical to
-        :meth:`TraceIndex.count_traces_with_any_substring`; all orders
-        must share one event set (they are the ``I(p)`` of one pattern).
+        :meth:`~repro.log.eventlog.EventLog.count_traces_with_any_substring`;
+        all orders must share one event set (they are the ``I(p)`` of one
+        pattern).
         """
-        self._check_fresh()
         needles = [tuple(order) for order in orders]
         if not needles:
             return 0
@@ -193,9 +139,11 @@ class FrequencyKernel:
                     "all sequences of a pattern must share one event set"
                 )
 
+        index = self._log.trace_index()
+        translate = index.interner.translate
         interned = []
         for needle in needles:
-            ids = self._interner.translate(needle)
+            ids = translate(needle)
             if ids is None:
                 return 0  # an event never seen in the log: no matches
             interned.append(ids)
@@ -206,27 +154,27 @@ class FrequencyKernel:
         # Tier 1: a single event is its posting list's popcount.
         if size == 1:
             counters.popcount_queries += 1
-            return self._index.posting_bits(needles[0][0]).bit_count()
+            return index.posting_bits(needles[0][0]).bit_count()
 
         # Tier 2: length-2 orders straight from bigram posting bitsets.
         if size == 2 and self._use_bigrams:
-            bigram_bits = self._bigram_bits
+            bigram_postings = index.bigram_postings
             acc = 0
             for first, second in interned:
-                acc |= bigram_bits.get((first << BIGRAM_SHIFT) | second, 0)
+                acc |= bigram_postings.get((first << BIGRAM_SHIFT) | second, 0)
             counters.bigram_queries += 1
             counters.bitset_intersections += len(interned)
             return acc.bit_count()
 
         # Tier 3: bitset candidates, one automaton pass per candidate.
-        posting_bits = self._index.posting_bits
+        posting_bits = index.posting_bits
         candidates = -1
         for event in events:
             candidates &= posting_bits(event)
             counters.bitset_intersections += 1
             if not candidates:
                 return 0
-        traces = self._interner.interned_traces
+        traces = index.interner.interned_traces
         count = 0
         if self._use_automaton:
             key = frozenset(interned)

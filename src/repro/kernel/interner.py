@@ -4,14 +4,11 @@ Every hot-path structure in :mod:`repro.kernel` works on small dense
 integers instead of event-name strings: integer hashing is identity,
 integer tuples compare with ``memcmp``-like speed, and dense ids double
 as indices into flat arrays.  The :class:`EventInterner` owns the
-string ↔ id mapping for one log and materializes, exactly once per
-committed trace,
-
-* the trace as an immutable ``tuple[int, ...]``;
-* the trace's *bigram set* — every consecutive id pair packed into a
-  single int (``(a << 32) | b``) — which makes the dominant length-2
-  patterns (dependency edges, ``AND`` pairs) answerable without touching
-  the trace again.
+string ↔ id mapping for one log and materializes each committed trace,
+exactly once, as an immutable ``tuple[int, ...]``.  It lives inside the
+log's :class:`~repro.log.index.TraceIndex`, which also packs consecutive
+id pairs into single ints (``(a << 32) | b``, see :func:`pack_bigram`)
+to key its bigram postings.
 
 Ids are assigned in first-appearance order and never change, so every
 structure derived from them (bitset posting lists, memoized automata)
@@ -21,8 +18,11 @@ stays valid as the log grows: appends only ever *add* ids.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.log.events import Event
+if TYPE_CHECKING:
+    # Type-only: repro.log's trace index imports this module at runtime.
+    from repro.log.events import Event
 
 #: Bigrams are packed as ``(first << BIGRAM_SHIFT) | second``.  32 bits per
 #: component is far beyond any realistic alphabet while keeping the packed
@@ -38,13 +38,12 @@ def pack_bigram(first: int, second: int) -> int:
 class EventInterner:
     """Append-only dense-id assignment plus int-materialized traces."""
 
-    __slots__ = ("_id_of", "_events", "_traces", "_bigrams")
+    __slots__ = ("_id_of", "_events", "_traces")
 
     def __init__(self) -> None:
         self._id_of: dict[Event, int] = {}
         self._events: list[Event] = []
         self._traces: list[tuple[int, ...]] = []
-        self._bigrams: list[frozenset[int]] = []
 
     # ------------------------------------------------------------------
     # Id assignment
@@ -66,6 +65,11 @@ class EventInterner:
         """The event name owning ``event_id``."""
         return self._events[event_id]
 
+    @property
+    def events(self) -> list[Event]:
+        """Every interned event, indexed by id (do not mutate)."""
+        return self._events
+
     def __len__(self) -> int:
         return len(self._events)
 
@@ -77,23 +81,12 @@ class EventInterner:
         intern = self.intern
         interned = tuple(intern(event) for event in events)
         self._traces.append(interned)
-        self._bigrams.append(
-            frozenset(
-                (interned[i] << BIGRAM_SHIFT) | interned[i + 1]
-                for i in range(len(interned) - 1)
-            )
-        )
         return interned
 
     @property
     def interned_traces(self) -> list[tuple[int, ...]]:
         """All materialized traces as int tuples (do not mutate)."""
         return self._traces
-
-    @property
-    def bigram_sets(self) -> list[frozenset[int]]:
-        """Per-trace packed consecutive-pair sets (do not mutate)."""
-        return self._bigrams
 
     @property
     def num_traces(self) -> int:

@@ -5,8 +5,9 @@ An :class:`~repro.log.eventlog.EventLog` is a collection of
 :class:`~repro.log.events.Trace` objects, each an ordered sequence of event
 names.  It plays the role pm4py-style logs play in the paper's experiments:
 logs can be read from and written to CSV (`repro.log.csvio`) and an XES
-subset (`repro.log.xes`), projected onto event or trace subsets, and indexed
-for fast pattern-frequency evaluation (`repro.log.index`).
+subset (`repro.log.xes`) and projected onto event or trace subsets.  Each
+log owns one trace index ``I_t`` (`repro.log.index`) that its statistics
+and the pattern-frequency kernel all read.
 """
 
 from repro.log.events import Event, Trace

@@ -10,15 +10,21 @@ collection and exposes exactly the statistics the matching algorithms need:
 * projections onto event subsets and trace prefixes, used by the paper's
   experiment sweeps over "# of events" and "# of traces".
 
+Every count is a view of the log's one trace index ``I_t``
+(:meth:`EventLog.trace_index`, a :class:`~repro.log.index.TraceIndex`):
+the alphabet, vertex and edge counts, the dependency edges, the
+first-appearance order and the event interner all read its posting
+bitsets.  The index is built in one pass on first use.
+
 Logs are *append-only*: batch workflows construct a log once and never
 touch it again (the historical regime), while the streaming subsystem
 (:mod:`repro.stream`) grows a log one committed trace at a time through
-:meth:`EventLog.append_trace`.  Appending maintains the alphabet and the
-vertex/edge counts incrementally — counts are monotone under append, so a
-new trace only ever *adds* to them — and bumps a :attr:`generation`
-counter.  Derived structures (the ``I_t`` trace index, frequency
-evaluators) record the generation they were built against and fail loudly
-with :class:`StaleIndexError` when used after the log has grown, instead
+:meth:`EventLog.append_trace`.  An append extends the index in
+O(|trace|) — postings only gain bits — so no count can fall behind the
+log.  Appends also bump a :attr:`generation` counter, which the
+|L|-normalized frequency memo of
+:class:`~repro.patterns.matching.PatternFrequencyEvaluator` checks:
+using it after the log has grown raises :class:`StaleIndexError` instead
 of silently returning frequencies for a log that no longer exists.
 """
 
@@ -26,15 +32,21 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
+from repro.kernel.frequency import iter_bits
 from repro.log.events import Event, Trace
+from repro.log.index import TraceIndex
+
+if TYPE_CHECKING:
+    from repro.kernel.interner import EventInterner
 
 
 class StaleIndexError(RuntimeError):
-    """A derived index/cache was used after its log gained new traces.
+    """A frequency memo was used after its log gained new traces.
 
-    Consumers that can catch up incrementally expose a ``refresh()``
-    method; everything else must be rebuilt from a fresh snapshot.
+    :meth:`~repro.patterns.matching.PatternFrequencyEvaluator.refresh`
+    drops the memo; frequencies are then recomputed on demand.
     """
 
 
@@ -60,10 +72,7 @@ class EventLog:
         self._traces_view: tuple[Trace, ...] | None = None
         self._generation = 0
         self.name = name
-        self._alphabet: frozenset[Event] | None = None
-        self._vertex_counts: Counter[Event] | None = None
-        self._edge_counts: Counter[tuple[Event, Event]] | None = None
-        self._interner = None  # lazy repro.kernel.interner.EventInterner
+        self._index: TraceIndex | None = None
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -109,10 +118,9 @@ class EventLog:
     def append_trace(self, trace: Trace | Sequence[Event]) -> int:
         """Append one committed trace, returning its trace id.
 
-        Statistics already materialized (alphabet, vertex/edge counts)
-        are updated incrementally — under append they only gain, never
-        lose — and :attr:`generation` is bumped so stale derived indices
-        fail loudly.
+        A built trace index is extended in O(|trace|) — under append its
+        postings only gain, never lose — and :attr:`generation` is
+        bumped so stale frequency memos fail loudly.
         """
         if not isinstance(trace, Trace):
             trace = Trace(trace)
@@ -122,102 +130,63 @@ class EventLog:
         self._traces.append(trace)
         self._traces_view = None
         self._generation += 1
-        if self._alphabet is not None:
-            self._alphabet |= trace.alphabet()
-        if self._vertex_counts is not None:
-            assert self._edge_counts is not None
-            events = trace.events
-            self._vertex_counts.update(set(events))
-            self._edge_counts.update(
-                {(events[i], events[i + 1]) for i in range(len(events) - 1)}
-            )
-        if self._interner is not None:
-            self._interner.absorb(trace.events)
+        if self._index is not None:
+            self._index.add(trace.events)
         return trace_id
 
     # ------------------------------------------------------------------
-    # Interning (the repro.kernel fast path)
+    # The trace index I_t and its views
     # ------------------------------------------------------------------
-    def interner(self):
-        """The log's :class:`~repro.kernel.interner.EventInterner`.
+    def trace_index(self) -> TraceIndex:
+        """The log's one trace index ``I_t``, built in one pass on first use.
 
-        Built lazily over the committed traces on first access; once
-        materialized, :meth:`append_trace` keeps it synced in O(|trace|)
-        exactly like the alphabet and vertex/edge counts.  Dense ids are
-        assigned in first-appearance order and never change, so derived
-        structures (bitsets, automata) stay valid as the log grows.
+        :meth:`append_trace` keeps it current, so every caller shares
+        the same object for the life of the log.
         """
-        if self._interner is None:
-            # Local import: repro.kernel sits above the log substrate.
-            from repro.kernel.interner import EventInterner
+        index = self._index
+        if index is None:
+            index = self._index = TraceIndex(
+                trace.events for trace in self._traces
+            )
+        return index
 
-            interner = EventInterner()
-            for trace in self._traces:
-                interner.absorb(trace.events)
-            self._interner = interner
-        return self._interner
+    def rebuild_trace_index(self) -> TraceIndex:
+        """Replace the trace index with one rebuilt from the traces.
 
-    # ------------------------------------------------------------------
-    # Alphabet and frequencies
-    # ------------------------------------------------------------------
+        The recovery path for an index damaged in place; readers look the
+        index up through :meth:`trace_index`, so they see the new one.
+        """
+        self._index = None
+        return self.trace_index()
+
+    def interner(self) -> EventInterner:
+        """The :class:`~repro.kernel.interner.EventInterner` of the index.
+
+        Dense ids are assigned in first-appearance order and never
+        change, so derived structures (bitsets, automata) stay valid as
+        the log grows.
+        """
+        return self.trace_index().interner
+
     def alphabet(self) -> frozenset[Event]:
         """The distinct events appearing anywhere in the log."""
-        if self._alphabet is None:
-            events: set[Event] = set()
-            for trace in self._traces:
-                events.update(trace.events)
-            self._alphabet = frozenset(events)
-        return self._alphabet
+        return self.trace_index().alphabet()
 
     def events_in_first_appearance_order(self) -> list[Event]:
         """Distinct events ordered by first appearance in the log.
 
         The paper's sweeps select "the first x events appearing in the
-        dataset"; this is that ordering.
+        dataset"; this is that ordering (the interner's id order).
         """
-        seen: dict[Event, None] = {}
-        for trace in self._traces:
-            for event in trace:
-                if event not in seen:
-                    seen[event] = None
-        return list(seen)
-
-    def ensure_statistics(self) -> None:
-        """Materialize the vertex/edge counts now.
-
-        Once materialized, :meth:`append_trace` maintains them
-        incrementally; streaming consumers call this up-front so every
-        later append is O(|trace|) instead of deferring a full recount.
-        """
-        self._ensure_counts()
-        self.alphabet()
-
-    def _ensure_counts(self) -> None:
-        if self._vertex_counts is not None:
-            return
-        vertex_counts: Counter[Event] = Counter()
-        edge_counts: Counter[tuple[Event, Event]] = Counter()
-        for trace in self._traces:
-            events = trace.events
-            vertex_counts.update(set(events))
-            pairs = {
-                (events[i], events[i + 1]) for i in range(len(events) - 1)
-            }
-            edge_counts.update(pairs)
-        self._vertex_counts = vertex_counts
-        self._edge_counts = edge_counts
+        return list(self.trace_index().interner.events)
 
     def vertex_count(self, event: Event) -> int:
         """Number of traces containing ``event`` at least once."""
-        self._ensure_counts()
-        assert self._vertex_counts is not None
-        return self._vertex_counts[event]
+        return self.trace_index().posting_bits(event).bit_count()
 
     def edge_count(self, source: Event, target: Event) -> int:
         """Number of traces where ``source`` immediately precedes ``target``."""
-        self._ensure_counts()
-        assert self._edge_counts is not None
-        return self._edge_counts[(source, target)]
+        return self.trace_index().bigram_bits(source, target).bit_count()
 
     def vertex_frequency(self, event: Event) -> float:
         """Normalized frequency of ``event`` (Definition 1)."""
@@ -232,10 +201,8 @@ class EventLog:
         return self.edge_count(source, target) / len(self._traces)
 
     def edges(self) -> list[tuple[Event, Event]]:
-        """All consecutive pairs with non-zero frequency."""
-        self._ensure_counts()
-        assert self._edge_counts is not None
-        return sorted(self._edge_counts)
+        """All consecutive pairs with non-zero frequency, sorted."""
+        return self.trace_index().edges()
 
     # ------------------------------------------------------------------
     # Projections
@@ -269,10 +236,38 @@ class EventLog:
     # ------------------------------------------------------------------
     # Trace-level queries
     # ------------------------------------------------------------------
-    def count_traces_with_substring(self, needle: Sequence[Event]) -> int:
-        """Number of traces containing ``needle`` as a contiguous run."""
-        needle = tuple(needle)
-        return sum(1 for trace in self._traces if trace.contains_substring(needle))
+    def count_traces_with_any_substring(
+        self, sequences: Iterable[Sequence[Event]]
+    ) -> int:
+        """Traces containing at least one of ``sequences`` as a substring.
+
+        This is exactly the pattern-frequency primitive: ``sequences`` is
+        the allowed-order set ``I(p)`` of a pattern, and a trace matches the
+        pattern when some allowed order occurs contiguously (Definition 4).
+        All sequences of a pattern share the same event set, so a single
+        posting-list intersection covers every alternative.
+
+        This is the *naive* per-order scan of the :class:`Trace` objects,
+        kept as the oracle;
+        :class:`~repro.kernel.frequency.FrequencyKernel` answers the
+        same query through bigram bitsets and Aho–Corasick automata.
+        """
+        needles = [tuple(sequence) for sequence in sequences]
+        if not needles:
+            return 0
+        events = set(needles[0])
+        for needle in needles[1:]:
+            if set(needle) != events:
+                raise ValueError(
+                    "all sequences of a pattern must share one event set"
+                )
+        traces = self._traces
+        candidates = self.trace_index().candidate_bits(events)
+        return sum(
+            1
+            for trace_id in iter_bits(candidates)
+            if any(traces[trace_id].contains_substring(n) for n in needles)
+        )
 
     def variant_counts(self) -> Counter[tuple[Event, ...]]:
         """Multiplicity of each distinct trace (process-mining "variants")."""

@@ -290,8 +290,6 @@ def parallel_match(
     time_budget: float | None = None,
     sync_interval: int = 128,
     strict: bool = False,
-    include_vertices: bool = True,
-    include_edges: bool = True,
     probe: Probe | None = None,
 ) -> MatchOutcome:
     """Exact A* matching, root-split over ``workers`` processes.
@@ -317,12 +315,7 @@ def parallel_match(
     """
     if probe is None:
         probe = NULL_PROBE
-    full_patterns = build_pattern_set(
-        log_1,
-        complex_patterns=patterns,
-        include_vertices=include_vertices,
-        include_edges=include_edges,
-    )
+    full_patterns = build_pattern_set(log_1, complex_patterns=patterns)
     targets = sorted(log_2.alphabet())
     sources = sorted(log_1.alphabet())
     effective = max(1, min(workers, len(targets)))

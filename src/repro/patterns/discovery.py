@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.log.events import Event
 from repro.log.eventlog import EventLog
-from repro.log.index import TraceIndex
 from repro.patterns.ast import AND, EventPattern, Pattern, SEQ
 from repro.patterns.selection import rank_patterns
 
@@ -30,7 +29,6 @@ def frequent_sequences(
     log: EventLog,
     min_support: float,
     max_length: int = 5,
-    trace_index: TraceIndex | None = None,
 ) -> dict[tuple[Event, ...], float]:
     """Contiguous sequences with frequency ≥ ``min_support``.
 
@@ -41,11 +39,10 @@ def frequent_sequences(
         raise ValueError("min_support must be in (0, 1]")
     if len(log) == 0:
         return {}
-    index = trace_index if trace_index is not None else TraceIndex(log)
     total = len(log)
 
     def support(sequence: tuple[Event, ...]) -> float:
-        count = index.count_traces_with_any_substring([sequence])
+        count = log.count_traces_with_any_substring([sequence])
         return count / total
 
     frequent: dict[tuple[Event, ...], float] = {}

@@ -4,13 +4,14 @@ A trace matches pattern ``p`` when a substring of the trace belongs to the
 allowed-order set ``I(p)``.  The normalized frequency ``f(p)`` is the
 number of matching traces divided by ``|L|``.
 
-:class:`PatternFrequencyEvaluator` is the production entry point: it owns a
-:class:`~repro.log.index.TraceIndex` (the paper's ``I_t``), caches allowed
-orders per pattern and memoizes frequencies per concrete order set — during
-A* search the same mapped pattern is evaluated across thousands of
-branches, and the memo turns those into dictionary hits.  Cache misses are
-counted by a :class:`~repro.kernel.frequency.FrequencyKernel` (interned
-events, bitset posting lists, multi-order Aho–Corasick automata) unless
+:class:`PatternFrequencyEvaluator` is the production entry point: it reads
+the log's one :class:`~repro.log.index.TraceIndex` (the paper's ``I_t``),
+caches allowed orders per pattern and memoizes frequencies per concrete
+order set — during A* search the same mapped pattern is evaluated across
+thousands of branches, and the memo turns those into dictionary hits.
+Cache misses are counted by a
+:class:`~repro.kernel.frequency.FrequencyKernel` (interned events, bitset
+posting lists, multi-order Aho–Corasick automata) unless
 ``use_kernel=False`` selects the naive per-order scan, which is kept as
 the oracle for ablation benchmarks and property tests.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from repro.log.events import Event, Trace
 from repro.log.eventlog import EventLog, StaleIndexError
-from repro.log.index import TraceIndex
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.patterns.ast import Pattern
 from repro.patterns.orders import allowed_orders
@@ -80,8 +80,6 @@ class PatternFrequencyEvaluator:
     ----------
     log:
         The event log frequencies are evaluated against.
-    trace_index:
-        Optional pre-built ``I_t`` index; built from ``log`` when omitted.
     use_index:
         When ``False`` every evaluation scans the full log instead of the
         posting-list candidates.  Only the index-ablation benchmark should
@@ -99,15 +97,11 @@ class PatternFrequencyEvaluator:
     def __init__(
         self,
         log: EventLog,
-        trace_index: TraceIndex | None = None,
         use_index: bool = True,
         use_kernel: bool = True,
         probe: Probe | None = None,
     ):
-        if trace_index is not None and trace_index.log is not log:
-            raise ValueError("trace_index was built for a different log")
         self._log = log
-        self._index = trace_index if trace_index is not None else TraceIndex(log)
         self._use_index = use_index
         self._generation = log.generation
         self._probe = probe if probe is not None else NULL_PROBE
@@ -116,7 +110,7 @@ class PatternFrequencyEvaluator:
             # sibling layers.
             from repro.kernel.frequency import FrequencyKernel
 
-            self._kernel = FrequencyKernel(log, trace_index=self._index)
+            self._kernel = FrequencyKernel(log)
         else:
             self._kernel = None
         # Frequencies memoized by the *instantiated* allowed-order set, so
@@ -130,10 +124,6 @@ class PatternFrequencyEvaluator:
     @property
     def log(self) -> EventLog:
         return self._log
-
-    @property
-    def trace_index(self) -> TraceIndex:
-        return self._index
 
     @property
     def kernel(self):
@@ -186,15 +176,11 @@ class PatternFrequencyEvaluator:
         """Re-sync with an appended-to log.
 
         Memoized frequencies are normalized by ``|L|``, so *every* entry
-        is invalidated by a single append; the memo is dropped and the
-        trace index (plus kernel bitsets) caught up incrementally.
-        Frequencies are then recomputed lazily on demand.  Compiled
-        automata survive: interned ids are stable under append.
+        is invalidated by a single append; the memo is dropped and
+        frequencies are recomputed lazily on demand from the log's trace
+        index, which the append already extended.  Compiled automata
+        survive: interned ids are stable under append.
         """
-        if self._kernel is not None:
-            self._kernel.refresh()
-        else:
-            self._index.refresh()
         self._frequency_memo.clear()
         self._generation = self._log.generation
 
@@ -225,7 +211,7 @@ class PatternFrequencyEvaluator:
             if self._kernel is not None:
                 matches = self._kernel.count_matching(orders)
             elif self._use_index:
-                matches = self._index.count_traces_with_any_substring(orders)
+                matches = self._log.count_traces_with_any_substring(orders)
             else:
                 matches = sum(
                     1

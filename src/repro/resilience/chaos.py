@@ -187,17 +187,17 @@ _DROP = object()
 def corrupt_delta_state(deltas, seed: int = 0) -> str:
     """Silently damage a :class:`~repro.stream.deltas.DeltaState`.
 
-    Reaches into the incremental structures (this is a fault-injection
-    harness; the whole point is damage the public API forbids) and
-    perturbs one of them, returning a description of what was broken.
-    The damage is exactly the class of divergence the sampled invariant
-    checks and :meth:`~repro.stream.deltas.DeltaState.verify` exist to
-    catch, and that :meth:`~repro.stream.deltas.DeltaState.rebuild`
-    repairs.
+    Reaches into the incremental structures — a deep pattern count or
+    the live log's trace index (this is a fault-injection harness; the
+    whole point is damage the public API forbids) — and perturbs one of
+    them, returning a description of what was broken.  The damage is
+    exactly the class of divergence the sampled invariant checks and
+    :meth:`~repro.stream.deltas.DeltaState.verify` exist to catch, and
+    that :meth:`~repro.stream.deltas.DeltaState.rebuild` repairs.
     """
     rng = random.Random(seed)
-    index = deltas.trace_index
-    postings = index._postings
+    index = deltas._log.trace_index()
+    postings = index.event_postings
     total = deltas.num_traces
     if deltas._counts and rng.random() < 0.5:
         pattern = rng.choice(sorted(deltas._counts, key=repr))
@@ -207,6 +207,6 @@ def corrupt_delta_state(deltas, seed: int = 0) -> str:
         event = rng.choice(sorted(postings))
         postings[event] |= 1 << total  # membership in a phantom trace
         return f"set a phantom posting bit of event {event!r}"
-    # Nothing to corrupt yet (empty state): desync the index generation.
-    index._generation -= 1
-    return "desynced trace-index generation"
+    # Nothing to corrupt yet (empty state): index a phantom trace.
+    index.add(("<phantom>",))
+    return "indexed a phantom trace"

@@ -6,9 +6,9 @@ finished log; this package serves *live* event traffic instead:
 * :class:`~repro.stream.ingest.StreamingLog` — append-only ingestion with
   a per-case open/close lifecycle over a wrapped
   :class:`~repro.log.eventlog.EventLog`;
-* :class:`~repro.stream.deltas.DeltaState` — delta maintenance of the
-  ``I_t`` trace index, dependency-graph counts and pattern frequencies
-  (each committed trace scanned exactly once), with a batch-rebuild
+* :class:`~repro.stream.deltas.DeltaState` — tracked pattern
+  frequencies over the live log's own ``I_t`` trace index (each
+  committed trace scanned exactly once), with a batch-rebuild
   :meth:`~repro.stream.deltas.DeltaState.verify` cross-check;
 * :class:`~repro.stream.engine.OnlineMatcher` — holds the current mapping
   ``M``, recomputes its realized pattern normal distance cheaply from the

@@ -319,11 +319,11 @@ class OnlineMatcher:
         return abs(score - self._baseline) / self._baseline
 
     def _rematch(self, num_traces: int, reason: str) -> StreamUpdate:
-        # The live log, not a snapshot: it already keeps its alphabet,
-        # vertex/edge counts and interner current under append, so the
-        # matcher re-derives none of them.  The re-match runs inside
-        # update(), between appends; an append during it would surface
-        # as StaleIndexError, never as a silently wrong frequency.
+        # The live log, not a snapshot: its one trace index is kept
+        # current under append, so the matcher re-derives nothing.  The
+        # re-match runs inside update(), between appends; an append
+        # during it would surface as StaleIndexError from a frequency
+        # memo, never as a silently wrong frequency.
         live = self.stream.log
         matcher = EventMatcher(
             self.reference, live, patterns=self.complex_patterns

@@ -9,9 +9,10 @@ unit of consistency:
   matcher — a case participates in frequencies only once its final event
   order is known;
 * each committed trace is announced exactly once to subscribed listeners
-  (delta maintainers, engines), in commit order, with its trace id;
-* the wrapped log's generation counter advances per commit, so any stale
-  derived state fails loudly.
+  (delta maintainers, engines), in commit order, with its trace id, after
+  the wrapped log has extended its trace index ``I_t`` with it;
+* the wrapped log's generation counter advances per commit, so a stale
+  frequency memo fails loudly.
 
 :meth:`StreamingLog.snapshot` hands out frozen point-in-time copies for
 batch consumers outside the online engine (which re-matches on the live
@@ -84,10 +85,9 @@ class StreamingLog:
         quarantine: QuarantineStore | None = None,
     ):
         self._log = EventLog([], name=name)
-        # Materialize counts up-front so every commit maintains them in
-        # O(|trace|) instead of deferring a full recount to the first
-        # frequency query.
-        self._log.ensure_statistics()
+        # Build the trace index up-front so every commit extends it in
+        # O(|trace|) instead of deferring a full pass to the first read.
+        self._log.trace_index()
         self._open: dict[str, list[Event]] = {}
         self._listeners: list[CommitListener] = []
         self._snapshots_taken = 0

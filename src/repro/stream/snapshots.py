@@ -4,9 +4,8 @@ A :class:`LogSnapshot` is a plain :class:`~repro.log.eventlog.EventLog`
 (every batch consumer — matchers, indices, statistics — accepts it
 unchanged) that additionally records *where* in the stream it was taken:
 the source stream's generation and a per-stream snapshot sequence number.
-Snapshots refuse further appends, so indices built on one can never go
-stale — the failure mode moves entirely to the live log, where the
-generation check catches it.
+Snapshots refuse further appends, so a frequency memo built on one can
+never go stale.
 """
 
 from __future__ import annotations

@@ -129,8 +129,8 @@ class TestProjections:
 
 class TestTraceQueries:
     def test_count_traces_with_substring(self, sample_log):
-        assert sample_log.count_traces_with_substring(("A", "B")) == 2
-        assert sample_log.count_traces_with_substring(("A", "D")) == 1
+        assert sample_log.count_traces_with_any_substring([("A", "B")]) == 2
+        assert sample_log.count_traces_with_any_substring([("A", "D")]) == 1
 
     def test_variant_counts(self):
         log = EventLog(["AB", "AB", "BA"])

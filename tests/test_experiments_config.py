@@ -6,9 +6,10 @@ these verify the wiring (projection, budgets, method lists) end-to-end.
 
 import pytest
 
+from repro.core.astar import AStarMatcher
 from repro.core.bounds import BoundKind
 from repro.core.heuristic import SimpleHeuristicMatcher
-from repro.core.scoring import ScoreModel
+from repro.core.scoring import ScoreModel, build_pattern_set
 from repro.datagen import generate_reallike
 from repro.core.matcher import EventMatcher, MatchOptions
 from repro.evaluation.experiments import (
@@ -77,11 +78,10 @@ class TestMatcherConfiguration:
             assert len(result.mapping) == 4
 
     def test_vertex_only_matcher_configuration(self):
+        # The pattern-ablation path: vertex patterns only, exact search.
         task = generate_reallike(num_traces=80, seed=7).project_events(4)
-        matcher = EventMatcher(
-            task.log_1, task.log_2, include_edges=False
-        )
-        full = matcher.full_pattern_set()
+        full = build_pattern_set(task.log_1, include_edges=False)
         assert len(full) == 4  # vertex patterns only
-        result = matcher.run(MatchOptions("pattern-tight"))
+        model = ScoreModel(task.log_1, task.log_2, full)
+        result = AStarMatcher(model).match()
         assert len(result.mapping) == 4

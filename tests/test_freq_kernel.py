@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from repro.kernel.automaton import OrderAutomaton
 from repro.kernel.frequency import FrequencyKernel, iter_bits
 from repro.kernel.interner import BIGRAM_SHIFT, EventInterner, pack_bigram
-from repro.log.eventlog import EventLog, StaleIndexError
-from repro.log.index import TraceIndex
+from repro.log.eventlog import EventLog
 from repro.patterns.ast import AND, SEQ, Pattern, and_, event, seq
 from repro.patterns.matching import (
     PatternFrequencyEvaluator,
@@ -71,10 +70,13 @@ class TestEventInterner:
         assert len(interner) == 3
 
     def test_bigram_sets_pack_consecutive_pairs(self):
-        interner = EventInterner()
-        interner.absorb(("A", "B", "A"))
-        expected = {pack_bigram(0, 1), pack_bigram(1, 0)}
-        assert interner.bigram_sets[0] == expected
+        # The log's index keys its bigram postings by packed id pairs.
+        index = EventLog(["ABA", "BB"]).trace_index()
+        assert index.bigram_postings == {
+            pack_bigram(0, 1): 0b01,
+            pack_bigram(1, 0): 0b01,
+            pack_bigram(1, 1): 0b10,
+        }
 
     def test_translate_unseen_event_is_none(self):
         interner = EventInterner()
@@ -194,18 +196,11 @@ class TestFrequencyKernelTiers:
             assert no_automaton.count_matching(orders) == expected
             assert no_bigrams.count_matching(orders) == expected
 
-    def test_stale_kernel_raises(self, log):
+    def test_kernel_reads_the_grown_log(self, log):
         kernel = FrequencyKernel(log)
+        assert kernel.count_matching([("A", "B")]) == 2
         log.append_trace("AB")
-        with pytest.raises(StaleIndexError):
-            kernel.count_matching([("A", "B")])
-        kernel.refresh()
         assert kernel.count_matching([("A", "B")]) == 3
-
-    def test_foreign_index_rejected(self, log):
-        foreign = TraceIndex(EventLog(["XY"]))
-        with pytest.raises(ValueError):
-            FrequencyKernel(log, trace_index=foreign)
 
 
 class TestKernelEqualsNaive:

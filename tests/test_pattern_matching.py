@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.log.events import Trace
 from repro.log.eventlog import EventLog
-from repro.log.index import TraceIndex
 from repro.patterns.ast import and_, event, seq
 from repro.patterns import matching
 from repro.patterns.matching import (
@@ -129,11 +128,6 @@ class TestEvaluator:
         assert evaluator.mapped_frequency(pattern, mapping) == pattern_frequency(
             other, pattern.rename(mapping)
         )
-
-    def test_rejects_foreign_index(self, log):
-        foreign = TraceIndex(EventLog(["XY"]))
-        with pytest.raises(ValueError):
-            PatternFrequencyEvaluator(log, trace_index=foreign)
 
     def test_unindexed_mode_agrees_with_indexed(self, log):
         indexed = PatternFrequencyEvaluator(log)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.log.eventlog import EventLog, StaleIndexError
 from repro.log.events import Trace
-from repro.log.index import TraceIndex
 from repro.patterns.matching import PatternFrequencyEvaluator
 from repro.patterns.parser import parse_pattern
 from repro.stream.ingest import StreamingLog, UnknownCaseError
@@ -115,18 +114,6 @@ class TestGenerations:
         stream.append_trace("BC")
         assert stream.generation == 2
 
-    def test_trace_index_fails_loudly_when_stale(self):
-        stream = StreamingLog(traces=["AB"])
-        index = TraceIndex(stream.log)
-        assert index.postings("A") == {0}
-        stream.append_trace("AC")
-        with pytest.raises(StaleIndexError):
-            index.postings("A")
-        with pytest.raises(StaleIndexError):
-            index.candidate_traces(["A"])
-        assert index.refresh() == 1
-        assert index.postings("A") == {0, 1}
-
     def test_frequency_evaluator_fails_loudly_when_stale(self):
         stream = StreamingLog(traces=["AB", "AB"])
         evaluator = PatternFrequencyEvaluator(stream.log)
@@ -142,7 +129,7 @@ class TestGenerations:
 class TestIncrementalStatistics:
     def test_append_maintains_counts_like_rebuild(self):
         log = EventLog(["ABC", "AB"])
-        log.ensure_statistics()
+        log.trace_index()
         log.append_trace("CAB")
         log.append_trace(Trace("BBC"))
         rebuilt = EventLog(log.traces)
@@ -179,7 +166,7 @@ class TestSnapshots:
     def test_snapshot_usable_by_batch_consumers(self):
         stream = StreamingLog(traces=["AB", "AB", "AC"])
         snapshot = stream.snapshot()
-        index = TraceIndex(snapshot)
+        index = snapshot.trace_index()
         stream.append_trace("ZZ")  # must not disturb the snapshot's index
         assert index.candidate_traces(["A", "B"]) == {0, 1}
         evaluator = PatternFrequencyEvaluator(snapshot)
